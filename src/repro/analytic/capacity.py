@@ -70,7 +70,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.analytic.distributions import Deterministic, Exponential
 from repro.analytic.solve_cache import CacheStats, LRUSolveCache
@@ -84,6 +84,7 @@ from repro.san import (
     LumpedStateSpace,
     OutputGate,
     Place,
+    PlaceIndex,
     SANModel,
     SANSimulator,
     SteadyStateWarmStart,
@@ -429,15 +430,33 @@ def build_capacity_san_expanded(config: CapacityModelConfig) -> SANModel:
         for i, s in enumerate(sats, 1)
     ]
 
-    def down_count(m) -> int:
-        return sum(1 - m[s] for s in sats)
+    # Gate code runs once per case per marking in every re-rate check,
+    # so the satellite positions are resolved once and the down count
+    # of a marking is shared by all of its cases (one-entry memo).
+    sat_positions = PlaceIndex(p.name for p in places).positions(sats)
+    last_down = ((), 0)
 
-    def repair_case(s: str) -> Case:
+    def down_count_of(marking) -> int:
+        nonlocal last_down
+        key, down = last_down
+        if marking != key:
+            down = full - sum(map(marking.__getitem__, sat_positions))
+            last_down = (marking, down)
+        return down
+
+    def down_count(m) -> int:
+        return down_count_of(m.freeze())
+
+    def repair_case(position: int, s: str) -> Case:
         def probability(m) -> float:
-            down = down_count(m)
-            return (1 - m[s]) / down if down else 0.0
+            marking = m.freeze()
+            down = down_count_of(marking)
+            return (1 - marking[position]) / down if down else 0.0
 
         return Case(probability=probability, output_arcs={s: 1})
+
+    def repair_cases() -> List[Case]:
+        return [repair_case(p, s) for p, s in zip(sat_positions, sats)]
 
     def restore_full(m) -> None:
         for s in sats:
@@ -453,7 +472,7 @@ def build_capacity_san_expanded(config: CapacityModelConfig) -> SANModel:
     )
 
     if config.repair_rate_per_hour is None:
-        arrival_cases = [repair_case(s) for s in sats]
+        arrival_cases = repair_cases()
     else:
         # Mirror of the counted model's arrive-or-discard: with repair,
         # a replacement can arrive at a fully-healthy plane (down == 0)
@@ -462,7 +481,7 @@ def build_capacity_san_expanded(config: CapacityModelConfig) -> SANModel:
         def discard_probability(m) -> float:
             return 1.0 if down_count(m) == 0 else 0.0
 
-        arrival_cases = [repair_case(s) for s in sats] + [
+        arrival_cases = repair_cases() + [
             Case(probability=discard_probability)
         ]
 
@@ -480,7 +499,7 @@ def build_capacity_san_expanded(config: CapacityModelConfig) -> SANModel:
         input_gates=[
             InputGate("slot_open", predicate=lambda m: down_count(m) > 0)
         ],
-        cases=[repair_case(s) for s in sats],
+        cases=repair_cases(),
     )
 
     threshold_trigger = InstantaneousActivity(
@@ -512,7 +531,7 @@ def build_capacity_san_expanded(config: CapacityModelConfig) -> SANModel:
                         "repairable", predicate=lambda m: down_count(m) > 0
                     )
                 ],
-                cases=[repair_case(s) for s in sats],
+                cases=repair_cases(),
             )
         )
     instantaneous = [deploy_spare]
@@ -901,10 +920,9 @@ def _solve_expanded_pk(
 ) -> Dict[int, float]:
     model = build_capacity_san_expanded(config)
     marginals = _steady_state_marking_marginals(entry, model)
-    positions = [
-        model.place_index.position(s)
-        for s in _satellite_names(config.full_capacity)
-    ]
+    positions = model.place_index.positions(
+        _satellite_names(config.full_capacity)
+    )
     result: Dict[int, float] = {}
     for marking, probability in zip(
         entry.chain.space.markings, marginals.tolist()

@@ -39,6 +39,7 @@ from repro.analytic.capacity import (
     capacity_solver_stats,
 )
 from repro.analytic.qos_model import conditional_distribution
+from repro.analytic.solve_cache import LRUSolveCache
 from repro.core.config import EvaluationParams
 from repro.core.qos import QoSLevel
 from repro.core.schemes import Scheme
@@ -63,19 +64,21 @@ CAMPAIGN_WEIGHT = 2.0
 
 HOURS_PER_YEAR = 8760.0
 
-_CONDITIONAL_CACHE: Dict[tuple, float] = {}
+#: Keyed on the frozen ``params`` *value*, so equal parameters built
+#: per call share entries and distinct ones (another deadline) never
+#: alias; bounded like the capacity caches.
+_CONDITIONAL_CACHE = LRUSolveCache(maxsize=256, name="optimize-alert")
 
 
 def _alert_probability(k: int, params: EvaluationParams, scheme: Scheme) -> float:
     """``P(Y >= SEQUENTIAL_DUAL | k)`` for ``k >= 1``, cached."""
-    key = (k, id(params), scheme)
-    value = _CONDITIONAL_CACHE.get(key)
-    if value is None:
+
+    def compute() -> float:
         geometry = params.constellation.plane_geometry(k)
         distribution = conditional_distribution(geometry, params, scheme)
-        value = distribution.at_least(QoSLevel.SEQUENTIAL_DUAL)
-        _CONDITIONAL_CACHE[key] = value
-    return value
+        return distribution.at_least(QoSLevel.SEQUENTIAL_DUAL)
+
+    return _CONDITIONAL_CACHE.get_or_compute((k, params, scheme), compute)
 
 
 def composed_alert_qos(

@@ -296,17 +296,24 @@ class AssembledChain:
                     f"model {model.name!r} has no timed activity "
                     f"{slot.activity!r} required by the assembled topology"
                 )
-            probabilities = activity.case_probabilities(
-                place_index, self.space.markings[slot.marking_index]
+            probabilities = tuple(
+                activity.case_probabilities(
+                    place_index, self.space.markings[slot.marking_index]
+                )
             )
-            if len(probabilities) != len(slot.case_probabilities) or any(
-                abs(p - q) > _CASE_PROBABILITY_TOLERANCE
-                for p, q in zip(probabilities, slot.case_probabilities)
+            # Exact equality (the usual outcome) settles the check in C;
+            # only differing tuples need the per-case tolerance test.
+            if probabilities != slot.case_probabilities and (
+                len(probabilities) != len(slot.case_probabilities)
+                or any(
+                    abs(p - q) > _CASE_PROBABILITY_TOLERANCE
+                    for p, q in zip(probabilities, slot.case_probabilities)
+                )
             ):
                 raise ModelError(
                     f"activity {slot.activity!r}: case probabilities changed "
                     f"in marking {slot.marking_index} "
-                    f"({slot.case_probabilities} -> {tuple(probabilities)}); "
+                    f"({slot.case_probabilities} -> {probabilities}); "
                     "case structure is topology"
                 )
 

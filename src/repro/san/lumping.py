@@ -54,8 +54,9 @@ orbits satisfy both, so a correctly declared symmetry loses nothing.
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple
+import weakref
+from collections import Counter, deque
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -90,21 +91,46 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Group action on markings
 # ----------------------------------------------------------------------
-def _group_positions(model: SANModel) -> List[List[Tuple[int, ...]]]:
-    """Per group, the member place-index tuples (declaration order)."""
+class _Group(NamedTuple):
+    """Tuple positions of one exchangeable group's members
+    (declaration order); ``flat`` lists them as plain positions when
+    every member is a single place, so sorting compares ints."""
+
+    members: Tuple[Tuple[int, ...], ...]
+    flat: Optional[Tuple[int, ...]]
+
+    def member_values(self, values: Sequence[int]) -> List[object]:
+        """Per member, its sub-marking (an int on the flat path)."""
+        if self.flat is not None:
+            return list(map(values.__getitem__, self.flat))
+        return [tuple(values[p] for p in member) for member in self.members]
+
+
+#: Groups resolved once per model.  Weakly keyed, so an entry dies with
+#: its model and can never be served to a later model at the same id.
+_GROUPS: "weakref.WeakKeyDictionary[SANModel, Tuple[_Group, ...]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _group_positions(model: SANModel) -> Tuple[_Group, ...]:
+    """Per declared exchangeable group, its member positions."""
+    groups = _GROUPS.get(model)
+    if groups is not None:
+        return groups
     if not model.exchangeable_groups:
         raise ModelError(
             f"model {model.name!r} declares no exchangeable groups; "
             "nothing to lump"
         )
-    groups: List[List[Tuple[int, ...]]] = []
+    resolved = []
     for group in model.exchangeable_groups:
-        groups.append(
-            [
-                tuple(model.place_index.position(place) for place in member)
-                for member in group
-            ]
-        )
+        members = tuple(model.place_index.positions(member) for member in group)
+        flat = None
+        if all(len(member) == 1 for member in members):
+            flat = tuple(position for (position,) in members)
+        resolved.append(_Group(members, flat))
+    groups = _GROUPS[model] = tuple(resolved)
     return groups
 
 
@@ -112,9 +138,13 @@ def canonical_marking(model: SANModel, marking: Marking) -> Marking:
     """The orbit representative of ``marking``: within every declared
     exchangeable group, member sub-markings are sorted ascending."""
     values = list(marking)
-    for members in _group_positions(model):
-        subs = sorted(tuple(values[p] for p in member) for member in members)
-        for member, sub in zip(members, subs):
+    for group in _group_positions(model):
+        subs = sorted(group.member_values(values))
+        if group.flat is not None:
+            for position, value in zip(group.flat, subs):
+                values[position] = value
+            continue
+        for member, sub in zip(group.members, subs):
             for position, value in zip(member, sub):
                 values[position] = value
     return tuple(values)
@@ -125,26 +155,24 @@ def orbit_size(model: SANModel, marking: Marking) -> int:
     the declared group (the full symmetric group of each exchangeable
     group, acting independently)."""
     size = 1
-    for members in _group_positions(model):
-        subs = [tuple(marking[p] for p in member) for member in members]
-        multiplicities: Dict[Tuple[int, ...], int] = {}
-        for sub in subs:
-            multiplicities[sub] = multiplicities.get(sub, 0) + 1
+    for group in _group_positions(model):
+        subs = group.member_values(marking)
         group_size = math.factorial(len(subs))
-        for count in multiplicities.values():
+        for count in Counter(subs).values():
             group_size //= math.factorial(count)
         size *= group_size
     return size
 
 
 def _generators(
-    groups: List[List[Tuple[int, ...]]],
+    groups: Sequence[_Group],
 ) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     """Adjacent-member transpositions: each swaps two member position
     tuples.  They generate the full symmetric group of every
     exchangeable group."""
     swaps = []
-    for members in groups:
+    for group in groups:
+        members = group.members
         for i in range(len(members) - 1):
             swaps.append((members[i], members[i + 1]))
     return swaps

@@ -47,6 +47,13 @@ class PlaceIndex:
         except KeyError:
             raise ModelError(f"unknown place {name!r}; places are {self._names}")
 
+    def positions(self, names: Iterable[str]) -> Tuple[int, ...]:
+        """Tuple positions of several places, resolved once (gate code
+        that reads many places per marking should index
+        :meth:`MarkingView.freeze` with these instead of looking each
+        name up on every call)."""
+        return tuple(self.position(name) for name in names)
+
     def __contains__(self, name: str) -> bool:
         return name in self._index
 
@@ -58,14 +65,19 @@ Marking = Tuple[int, ...]
 class MarkingView:
     """Mutable, name-keyed view of a marking used inside gate code."""
 
-    __slots__ = ("_places", "_tokens")
+    __slots__ = ("_places", "_index", "_tokens")
 
     def __init__(self, places: PlaceIndex, marking: Sequence[int]):
         self._places = places
+        self._index = places._index
         self._tokens = list(marking)
 
     def __getitem__(self, place: str) -> int:
-        return self._tokens[self._places.position(place)]
+        try:
+            position = self._index[place]
+        except KeyError:
+            position = self._places.position(place)  # raises ModelError
+        return self._tokens[position]
 
     def __setitem__(self, place: str, tokens: int) -> None:
         if tokens != int(tokens) or tokens < 0:

@@ -142,13 +142,19 @@ class _ActivityBase:
         self.cases: Tuple[Case, ...] = tuple(cases) if cases else (Case(),)
         if not self.cases:
             raise ModelError(f"activity {name!r} has no cases")
+        # Constant case probabilities need no marking view.
+        self._marking_dependent = any(
+            callable(case.probability) for case in self.cases
+        )
 
     def enabled(self, places: PlaceIndex, marking: Marking) -> bool:
         """Whether the activity is enabled in ``marking``."""
-        view = MarkingView(places, marking)
         for place, mult in self.input_arcs.items():
-            if view[place] < mult:
+            if marking[places.position(place)] < mult:
                 return False
+        if not self.input_gates:
+            return True
+        view = MarkingView(places, marking)
         return all(gate.predicate(view) for gate in self.input_gates)
 
     def fire(
@@ -172,7 +178,7 @@ class _ActivityBase:
         self, places: PlaceIndex, marking: Marking
     ) -> List[float]:
         """Case probabilities evaluated in ``marking`` (must sum to 1)."""
-        view = MarkingView(places, marking)
+        view = MarkingView(places, marking) if self._marking_dependent else None
         probs = [case.probability_in(view) for case in self.cases]
         total = sum(probs)
         if abs(total - 1.0) > 1e-9:

@@ -5,9 +5,9 @@ behavior-preserving.
 produced by the seed's per-point re-solve implementation of
 ``run_tau_sweep`` / ``run_mu_sweep`` / fig7-fig9 (captured before the
 engine refactor).  Every numeric cell is pinned to 1e-9 here; the
-4-decimal tables in ``experiments_output.txt`` are additionally
-cross-checked at rendering precision to tie the goldens to the
-committed experiment record.
+4-decimal tables in ``tests/golden/experiments_output.txt`` (the
+committed ``python -m repro.experiments`` record the goldens were
+taken with) are additionally cross-checked at rendering precision.
 """
 
 import json
@@ -19,7 +19,7 @@ from repro.experiments import fig7, fig8, fig9, sweeps
 
 _HERE = pathlib.Path(__file__).parent
 _GOLDEN_PATH = _HERE / "golden" / "experiments_golden.json"
-_OUTPUT_TXT = _HERE.parent / "experiments_output.txt"
+_OUTPUT_TXT = _HERE / "golden" / "experiments_output.txt"
 
 _RUNNERS = {
     "fig7": fig7.run,
@@ -63,7 +63,7 @@ def test_experiment_matches_golden_to_1e9(name, golden, results):
 
 def _parse_table(text: str, experiment_id: str):
     """Extract ``(headers, rows-of-strings)`` of the aligned-text table
-    for ``experiment_id`` from experiments_output.txt (the later ASCII
+    for ``experiment_id`` from the recorded output (the later ASCII
     chart with the same title is skipped by requiring the ``===``
     underline)."""
     lines = text.splitlines()
@@ -88,7 +88,8 @@ def test_experiment_matches_recorded_output_at_render_precision(
     name, results
 ):
     """The regenerated tables still print exactly what the committed
-    experiments_output.txt records (floats render at 4 decimals)."""
+    tests/golden/experiments_output.txt records (floats render at 4
+    decimals)."""
     headers, recorded_rows = _parse_table(_OUTPUT_TXT.read_text(), name)
     result = results[name]
     assert [h for h in result.headers] == headers

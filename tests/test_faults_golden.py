@@ -5,9 +5,10 @@ default fault-injection campaign (k=9, 250 runs/cell, seed 2026).  The
 campaign is seeded Monte Carlo dispatched through the process-pool
 engine, so this doubles as a determinism check: any drift in seed
 derivation, batch aggregation order or the protocol stack shows up as
-a diff here.  (The ``faults`` table is not part of
-``experiments_output.txt``, so there is no render-precision
-cross-check like the one in ``test_experiments_golden.py``.)
+a diff here.  (The ``faults`` table is not part of the recorded
+``tests/golden/experiments_output.txt``, so there is no
+render-precision cross-check like the one in
+``test_experiments_golden.py``.)
 """
 
 import json

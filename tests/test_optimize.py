@@ -148,6 +148,42 @@ class TestComposedQoS:
         beyond = composed_alert_qos({28: 1.0})
         assert beyond == pytest.approx(at_bound, abs=1e-15)
 
+    def test_alert_cache_keys_on_params_value(self):
+        from repro.analytic.qos_model import conditional_distribution
+        from repro.core.config import EvaluationParams
+        from repro.core.qos import QoSLevel
+        from repro.core.schemes import Scheme
+        from repro.optimize.evaluate import _CONDITIONAL_CACHE
+
+        def direct(k, params):
+            geometry = params.constellation.plane_geometry(k)
+            return conditional_distribution(
+                geometry, params, Scheme.OAQ
+            ).at_least(QoSLevel.SEQUENTIAL_DUAL)
+
+        _CONDITIONAL_CACHE.clear(reset_stats=True)
+        # Fresh but equal params objects share one entry per k.
+        for _ in range(3):
+            composed_alert_qos({12: 1.0}, params=EvaluationParams())
+        stats = _CONDITIONAL_CACHE.stats()
+        assert (stats.misses, stats.hits) == (1, 2)
+        # Different (non-default) deadlines never alias, whatever ids
+        # the params objects get.
+        deadlines = (2.0, 3.0, 10.0)
+        pk = {9: 0.25, 12: 0.75}
+        for _ in range(3):
+            for deadline in deadlines:
+                params = EvaluationParams(deadline_minutes=deadline)
+                expected = sum(p * direct(k, params) for k, p in pk.items())
+                assert composed_alert_qos(pk, params=params) == expected
+                del params
+        values = {
+            direct(12, EvaluationParams(deadline_minutes=d)) for d in deadlines
+        }
+        assert len(values) == len(deadlines)
+        assert _CONDITIONAL_CACHE.stats().misses == 1 + len(pk) * len(deadlines)
+        assert _CONDITIONAL_CACHE.stats().maxsize <= 1024
+
 
 class TestCostModel:
     def point(self, **kwargs):

@@ -8,6 +8,7 @@ integration is pinned against the counted paper model and the fig7
 goldens.
 """
 
+import gc
 import json
 import pathlib
 
@@ -154,6 +155,48 @@ class TestGroupAction:
                 [TimedActivity.exponential("t", 1.0, input_arcs={"a": 1})],
                 exchangeable_groups=[["a", "b"], ["a", "b"]],
             )
+
+    @staticmethod
+    def _declared(names, groups):
+        return SANModel(
+            [Place(name, 0) for name in names],
+            [TimedActivity.exponential("t", 1.0, input_arcs={names[0]: 1})],
+            exchangeable_groups=groups,
+        )
+
+    def test_arity_two_members_sort_as_pairs(self):
+        # Members are (u_i, f_i) pairs plus a flat group {x, y}: the
+        # pairs sort lexicographically as units, never place by place.
+        model = self._declared(
+            ["u1", "f1", "u2", "f2", "u3", "f3", "x", "y"],
+            [[("u1", "f1"), ("u2", "f2"), ("u3", "f3")], ["x", "y"]],
+        )
+        marking = (1, 0, 0, 5, 1, 0, 4, 2)
+        assert canonical_marking(model, marking) == (0, 5, 1, 0, 1, 0, 2, 4)
+        assert orbit_size(model, marking) == 3 * 2
+        # Pairs (1, 0) and (0, 1) hold the same tokens but differ as
+        # members: a per-place count would call them one value.
+        swapped = (1, 0, 0, 1, 1, 0, 3, 3)
+        assert canonical_marking(model, swapped) == (0, 1, 1, 0, 1, 0, 3, 3)
+        assert orbit_size(model, swapped) == 3
+
+    def test_models_with_different_groups_never_share_positions(self):
+        names = ["a", "b", "c"]
+        marking = (2, 1, 0)
+        expected = {
+            ("a", "b", "c"): ((0, 1, 2), 6),
+            ("a", "b"): ((1, 2, 0), 2),
+            ("b", "c"): ((2, 0, 1), 2),
+        }
+        # Rebuilt models may reuse a collected model's id; each must
+        # still resolve its own declaration.
+        for group in list(expected) * 4:
+            model = self._declared(names, [list(group)])
+            canonical, size = expected[group]
+            assert canonical_marking(model, marking) == canonical
+            assert orbit_size(model, marking) == size
+            del model
+            gc.collect()
 
 
 class TestLumpedStateSpace:
