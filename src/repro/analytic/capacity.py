@@ -67,11 +67,11 @@ expose the per-stage costs and solve-method counters.
 from __future__ import annotations
 
 import threading
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro import obs
 from repro.analytic.distributions import Deterministic, Exponential
 from repro.analytic.solve_cache import CacheStats, LRUSolveCache
 from repro.core.config import EvaluationParams
@@ -559,36 +559,17 @@ _UNFOLD_CACHE = LRUSolveCache(maxsize=8, name="capacity-unfold")
 _ASSEMBLE_CACHE = LRUSolveCache(maxsize=8, name="capacity-assemble")
 _CACHING_ENABLED = True
 
-# Per-stage wall-clock accumulators (seconds) and solver counters for
-# this process.  The experiment engine reports run-level deltas of
-# these; benchmarks and tests read them directly.
-_STATS_LOCK = threading.Lock()
-_STAGE_TIMINGS = {
-    "assemble": 0.0,
-    "refine": 0.0,
-    "quotient": 0.0,
-    "rerate": 0.0,
-    "solve": 0.0,
-}
-_SOLVER_STATS = {
-    "direct": 0,
-    "iterative": 0,
-    "warm_started": 0,
-    "gmres_iterations": 0,
-    "solver_fallbacks": 0,
-    "structure_fallbacks": 0,
-}
-
-
-@contextmanager
-def _timed(stage: str) -> Iterator[None]:
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        elapsed = time.perf_counter() - start
-        with _STATS_LOCK:
-            _STAGE_TIMINGS[stage] += elapsed
+# Per-stage wall-clock seconds and solver counters live in the
+# process-wide counter registry (repro.obs); the experiment engine
+# reports run-level deltas, benchmarks and tests read them directly.
+obs.declare(
+    "capacity.stage.", ("assemble", "refine", "quotient", "rerate", "solve"), 0.0
+)
+obs.declare(
+    "capacity.solver.",
+    ("direct", "iterative", "warm_started", "gmres_iterations",
+     "solver_fallbacks", "structure_fallbacks"),
+)
 
 
 def capacity_stage_timings() -> Dict[str, float]:
@@ -600,8 +581,7 @@ def capacity_stage_timings() -> Dict[str, float]:
     build) and ``solve`` (steady-state linear algebra).  ``refine`` and
     ``quotient`` accrue once per lumped topology however many rate
     points are swept on it -- the composition the lumping tests pin."""
-    with _STATS_LOCK:
-        return dict(_STAGE_TIMINGS)
+    return obs.section(obs.snapshot(), "capacity.stage.")
 
 
 def capacity_solver_stats() -> Dict[str, int]:
@@ -613,21 +593,20 @@ def capacity_solver_stats() -> Dict[str, int]:
     that fell back to direct, and ``structure_fallbacks`` re-rate
     attempts rejected by topology validation (full rebuild taken).
     """
-    with _STATS_LOCK:
-        return dict(_SOLVER_STATS)
+    return obs.section(obs.snapshot(), "capacity.solver.")
 
 
 def _note_solution(solution) -> None:
-    with _STATS_LOCK:
-        if solution.method == "gmres":
-            _SOLVER_STATS["iterative"] += 1
-        else:
-            _SOLVER_STATS["direct"] += 1
-        if solution.warm_started:
-            _SOLVER_STATS["warm_started"] += 1
-        _SOLVER_STATS["gmres_iterations"] += solution.iterations
-        if solution.fallback is not None:
-            _SOLVER_STATS["solver_fallbacks"] += 1
+    obs.add(
+        "capacity.solver.iterative"
+        if solution.method == "gmres"
+        else "capacity.solver.direct"
+    )
+    if solution.warm_started:
+        obs.add("capacity.solver.warm_started")
+    obs.add("capacity.solver.gmres_iterations", solution.iterations)
+    if solution.fallback is not None:
+        obs.add("capacity.solver.solver_fallbacks")
 
 
 def capacity_cache_stats() -> Dict[str, CacheStats]:
@@ -653,11 +632,7 @@ def clear_capacity_caches(*, reset_stats: bool = False) -> None:
     _UNFOLD_CACHE.clear(reset_stats=reset_stats)
     _ASSEMBLE_CACHE.clear(reset_stats=reset_stats)
     if reset_stats:
-        with _STATS_LOCK:
-            for key in _STAGE_TIMINGS:
-                _STAGE_TIMINGS[key] = 0.0
-            for key in _SOLVER_STATS:
-                _SOLVER_STATS[key] = 0
+        obs.reset("capacity.")
 
 
 def configure_capacity_caches(
@@ -711,7 +686,7 @@ def _unfolded_chain(config: CapacityModelConfig, stages: int):
     SAN -- shared by the transient path and the full-rebuild fallback."""
 
     def build():
-        with _timed("assemble"):
+        with obs.timed("capacity.stage.assemble"):
             model = build_capacity_san(config)
             space = generate(model)
             chain = unfold(space, stages=stages)
@@ -769,7 +744,7 @@ def _assembled_topology(
     config: CapacityModelConfig, stages: int
 ) -> _AssembledTopology:
     def build() -> _AssembledTopology:
-        with _timed("assemble"):
+        with obs.timed("capacity.stage.assemble"):
             model = build_capacity_san(config)
             space = generate(model)
             chain = assemble(space, stages=stages)
@@ -805,7 +780,7 @@ def _solve_full_rebuild(
     """The pre-split pipeline: regenerate, unfold and solve directly.
     Kept as the fallback when topology validation rejects a re-rate."""
     model, space, chain = _unfolded_chain(config, stages)
-    with _timed("solve"):
+    with obs.timed("capacity.stage.solve"):
         by_marking_index = chain.steady_state_markings()
     marking_probs = {
         space.markings[idx]: prob for idx, prob in by_marking_index.items()
@@ -818,9 +793,9 @@ def _steady_state_marking_marginals(entry: _AssembledTopology, model: SANModel):
     and return the tangible-marking marginals.  A structural mismatch
     propagates as :class:`ModelError` for the caller's fallback."""
     chain = entry.chain
-    with _timed("rerate"):
+    with obs.timed("capacity.stage.rerate"):
         ctmc = chain.rerate(model)
-    with _timed("solve"):
+    with obs.timed("capacity.stage.solve"):
         with entry.lock:
             warm_start = entry.warm_start if _CACHING_ENABLED else None
             solution = ctmc.steady_state_solve(
@@ -862,8 +837,7 @@ def capacity_distribution(
             # The new config changed the structure (should not happen
             # for capacity configs -- the topology key covers every
             # structural field -- but re-rating must never be wrong).
-            with _STATS_LOCK:
-                _SOLVER_STATS["structure_fallbacks"] += 1
+            obs.add("capacity.solver.structure_fallbacks")
             return _solve_full_rebuild(config, stages)
         position = model.place_index.position("active")
         result: Dict[int, float] = {}
@@ -900,12 +874,12 @@ def _expanded_assembled_topology(
             # (symmetry verification included) and the quotient assembly
             # are cached with the chain, so a rate sweep pays them once
             # and re-rates per point, exactly like the counted path.
-            with _timed("refine"):
+            with obs.timed("capacity.stage.refine"):
                 space = lumped_state_space(model)
-            with _timed("quotient"):
+            with obs.timed("capacity.stage.quotient"):
                 chain = assemble(space, stages=stages)
         else:
-            with _timed("assemble"):
+            with obs.timed("capacity.stage.assemble"):
                 space = generate(model)
                 chain = assemble(space, stages=stages)
         return _AssembledTopology(chain)
@@ -960,8 +934,7 @@ def capacity_distribution_expanded(
                 )
                 return _solve_expanded_pk(entry, config)
             except ModelError:
-                with _STATS_LOCK:
-                    _SOLVER_STATS["structure_fallbacks"] += 1
+                obs.add("capacity.solver.structure_fallbacks")
         entry = _expanded_assembled_topology(config, stages, lumped=False)
         return _solve_expanded_pk(entry, config)
 

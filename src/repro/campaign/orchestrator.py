@@ -44,31 +44,38 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro import obs
 from repro.analytic.capacity import (
     capacity_cache_snapshot,
-    capacity_cache_stats,
-    capacity_solver_stats,
-    capacity_stage_timings,
     clear_capacity_caches,
     seed_capacity_cache,
 )
 from repro.campaign.journal import CampaignJournal, payload_digest
 from repro.campaign.planner import Chunk, grid_fingerprint, plan_chunks
 from repro.errors import CampaignError, ConfigurationError
-from repro.simulation.batch import batch_stage_timings
-from repro.simulation.vector import vector_batch_stats
 
 __all__ = ["CampaignResult", "CampaignRunner", "ChunkOutcome"]
+
+
+def _capacity_cache_deltas(counters) -> Dict[str, Dict[str, int]]:
+    """The capacity caches' hit/miss counters in ``counters``, keyed
+    like :func:`~repro.analytic.capacity.capacity_cache_stats`."""
+    caches: Dict[str, Dict[str, int]] = {}
+    for name, value in obs.section(counters, "cache.capacity-").items():
+        cache, _, kind = name.rpartition(".")
+        if kind in ("hits", "misses"):
+            caches.setdefault(cache, {})[kind] = value
+    return caches
 
 
 @dataclass
 class ChunkOutcome:
     """What happened to one chunk: its merged-in rows, the digest of
-    their pickled form, and -- for chunks executed in a pool worker --
-    the worker-side stage/solver/cache counter deltas, which the parent
-    process cannot observe directly.  ``in_worker`` marks deltas that
-    happened outside the parent's own accumulators (inline execution
-    is already counted by the parent; adding it again would double
+    their pickled form, and ``counters``, the :mod:`repro.obs` counter
+    delta sampled around the chunk's execution (empty for resumed
+    chunks).  ``in_worker`` marks deltas that happened in a pool
+    worker, outside the parent's own registry (inline execution is
+    already counted by the parent; adding it again would double
     count)."""
 
     chunk_id: int
@@ -78,11 +85,21 @@ class ChunkOutcome:
     seconds: float
     source: str  # "executed" | "resumed" | "stolen"
     in_worker: bool
-    stage_timings: Dict[str, float] = field(default_factory=dict)
-    batch_timings: Dict[str, float] = field(default_factory=dict)
-    solver_stats: Dict[str, int] = field(default_factory=dict)
-    vector_stats: Dict[str, float] = field(default_factory=dict)
-    cache_deltas: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    counters: Dict[str, float] = field(default_factory=dict)
+
+    @property
+    def batch_timings(self) -> Dict[str, float]:
+        """Replication-stage seconds of this chunk."""
+        return obs.section(self.counters, "batch.")
+
+    @property
+    def cache_deltas(self) -> Dict[str, Dict[str, int]]:
+        """Capacity-cache hit/miss deltas of this chunk."""
+        return _capacity_cache_deltas(self.counters)
+
+
+#: :meth:`CampaignResult.worker_counter_sums` kinds -> counter prefix.
+_COUNTER_KINDS = {"solver_stats": "capacity.solver.", "vector_stats": "vector."}
 
 
 @dataclass
@@ -95,50 +112,31 @@ class CampaignResult:
     fingerprint: str
     stats: Dict[str, object]
 
+    def worker_counters(self) -> Dict[str, float]:
+        """Summed counter deltas of the chunks executed inside pool
+        workers (inline chunks excluded -- the parent's registry
+        already saw those)."""
+        return obs.merge(*(c.counters for c in self.chunks if c.in_worker))
+
     def worker_stage_timings(self) -> Dict[str, float]:
-        """Summed capacity-stage seconds spent inside pool workers
-        (inline chunks excluded -- the parent's accumulators already
-        saw those)."""
-        totals: Dict[str, float] = {}
-        for outcome in self.chunks:
-            if not outcome.in_worker:
-                continue
-            for stage, seconds in outcome.stage_timings.items():
-                totals[stage] = totals.get(stage, 0.0) + seconds
-        return totals
+        """Summed capacity-stage seconds spent inside pool workers."""
+        return obs.section(self.worker_counters(), "capacity.stage.")
 
     def worker_batch_timings(self) -> Dict[str, float]:
         """Summed replication-stage seconds spent inside pool workers."""
-        totals: Dict[str, float] = {}
-        for outcome in self.chunks:
-            if not outcome.in_worker:
-                continue
-            for stage, seconds in outcome.batch_timings.items():
-                totals[stage] = totals.get(stage, 0.0) + seconds
-        return totals
+        return obs.section(self.worker_counters(), "batch.")
 
     def worker_counter_sums(self, kind: str) -> Dict[str, float]:
         """Summed worker-side counter deltas: ``kind`` is
         ``"solver_stats"`` or ``"vector_stats"``."""
-        totals: Dict[str, float] = {}
-        for outcome in self.chunks:
-            if not outcome.in_worker:
-                continue
-            for key, value in getattr(outcome, kind).items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
+        return obs.section(self.worker_counters(), _COUNTER_KINDS[kind])
 
     def cache_counter_sums(self) -> Dict[str, Dict[str, int]]:
-        """Summed per-cache hit/miss deltas across *all* executed
-        chunks (inline included -- cache counters are sampled around
-        each chunk either way), the benchmark's locality evidence."""
-        totals: Dict[str, Dict[str, int]] = {}
-        for outcome in self.chunks:
-            for name, delta in outcome.cache_deltas.items():
-                bucket = totals.setdefault(name, {})
-                for key, value in delta.items():
-                    bucket[key] = bucket.get(key, 0) + value
-        return totals
+        """Summed capacity-cache hit/miss deltas across *all* executed
+        chunks (inline included -- counters are sampled around each
+        chunk either way), the benchmark's locality evidence."""
+        merged = obs.merge(*(c.counters for c in self.chunks))
+        return _capacity_cache_deltas(merged)
 
 
 # ----------------------------------------------------------------------
@@ -166,39 +164,6 @@ def _reset_to_snapshot(entries) -> None:
     seed_capacity_cache(entries)
 
 
-def _sample_counters():
-    return (
-        capacity_stage_timings(),
-        batch_stage_timings(),
-        capacity_solver_stats(),
-        vector_batch_stats(),
-        {
-            name: {"hits": stats.hits, "misses": stats.misses}
-            for name, stats in capacity_cache_stats().items()
-        },
-    )
-
-
-def _counter_deltas(before, after):
-    stage_b, batch_b, solver_b, vector_b, cache_b = before
-    stage_a, batch_a, solver_a, vector_a, cache_a = after
-    stage = {k: stage_a.get(k, 0.0) - stage_b.get(k, 0.0) for k in stage_a}
-    batch = {k: batch_a.get(k, 0.0) - batch_b.get(k, 0.0) for k in batch_a}
-    solver = {k: solver_a.get(k, 0) - solver_b.get(k, 0) for k in solver_a}
-    vector = {
-        k: vector_a.get(k, 0) - vector_b.get(k, 0)
-        for k in ("calls", "replications", "fallbacks")
-    }
-    cache = {
-        name: {
-            k: cache_a[name].get(k, 0) - cache_b.get(name, {}).get(k, 0)
-            for k in cache_a[name]
-        }
-        for name in cache_a
-    }
-    return stage, batch, solver, vector, cache
-
-
 def _execute_chunk(row_fn, chunk_points: Sequence[object]):
     """Evaluate one chunk's points consecutively, in grid order."""
     return [row_fn(point) for point in chunk_points]
@@ -216,12 +181,12 @@ def _pool_chunk_task(payload):
     row_fn, chunk_id, attempt, chunk_points = payload
     if _WORKER_ISOLATE:
         _reset_to_snapshot(_WORKER_SNAPSHOT)
-    before = _sample_counters()
+    before = obs.snapshot()
     start = time.perf_counter()
     rows = _execute_chunk(row_fn, chunk_points)
     seconds = time.perf_counter() - start
-    deltas = _counter_deltas(before, _sample_counters())
-    return chunk_id, attempt, pickle.dumps(rows), seconds, deltas
+    counters = obs.delta(before, obs.snapshot())
+    return chunk_id, attempt, pickle.dumps(rows), seconds, counters
 
 
 class CampaignRunner:
@@ -382,7 +347,7 @@ class CampaignRunner:
                 stats["submissions"] += 1
                 if self.isolate:
                     _reset_to_snapshot(snapshot)
-                before = _sample_counters()
+                before = obs.snapshot()
                 start = time.perf_counter()
                 try:
                     chunk_rows = _execute_chunk(row_fn, chunk.points)
@@ -395,14 +360,14 @@ class CampaignRunner:
                     stats["retried"] += 1
                     continue
                 seconds = time.perf_counter() - start
-                deltas = _counter_deltas(before, _sample_counters())
+                counters = obs.delta(before, obs.snapshot())
                 payload = pickle.dumps(chunk_rows)
                 outcome = self._record(
                     chunk,
                     attempt,
                     payload,
                     seconds,
-                    deltas,
+                    counters,
                     in_worker=False,
                     source="executed",
                     outcomes=outcomes,
@@ -478,7 +443,7 @@ class CampaignRunner:
                     if future.cancelled():
                         continue
                     try:
-                        chunk_id, attempt, payload, seconds, deltas = (
+                        chunk_id, attempt, payload, seconds, counters = (
                             future.result()
                         )
                     except BrokenProcessPool:
@@ -512,7 +477,7 @@ class CampaignRunner:
                         attempt,
                         payload,
                         seconds,
-                        deltas,
+                        counters,
                         in_worker=True,
                         source="stolen" if attempt > 1 else "executed",
                         outcomes=outcomes,
@@ -547,7 +512,7 @@ class CampaignRunner:
         attempt: int,
         payload: bytes,
         seconds: float,
-        deltas,
+        counters: Dict[str, float],
         *,
         in_worker: bool,
         source: str,
@@ -555,7 +520,6 @@ class CampaignRunner:
         stats: Dict[str, object],
         journal: Optional[CampaignJournal],
     ) -> ChunkOutcome:
-        stage, batch, solver, vector, cache = deltas
         outcome = ChunkOutcome(
             chunk_id=chunk.chunk_id,
             affinity=chunk.affinity,
@@ -564,11 +528,7 @@ class CampaignRunner:
             seconds=seconds,
             source=source,
             in_worker=in_worker,
-            stage_timings=stage,
-            batch_timings=batch,
-            solver_stats=solver,
-            vector_stats=vector,
-            cache_deltas=cache,
+            counters=counters,
         )
         outcomes[chunk.chunk_id] = outcome
         stats["executed"] += 1

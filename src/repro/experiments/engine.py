@@ -34,16 +34,14 @@ both facts:
   the state space, and warm-start each steady-state solve from the
   previous point's solution.
 
-Per-stage wall-clock timings (``capacity_presolve``, ``rows``,
-``total``, plus the capacity pipeline's ``assemble``/``refine``/
-``quotient``/``rerate``/``solve`` deltas) are recorded into
-``ExperimentResult.timings`` so the benchmarks can attribute speedups,
-a solve-cache statistics snapshot lands in
-``ExperimentResult.metadata["cache_stats"]``, and the run-level deltas
-of the capacity solver counters (``structure_fallbacks``,
-``solver_fallbacks``, solve-method counts) land in
-``ExperimentResult.metadata["solver_stats"]``.  See
-``docs/SAN_ENGINE.md`` for the user guide.
+Every run records one :mod:`repro.obs` counter delta -- the parent's
+plus, for campaign runs, the deltas its pool workers shipped home --
+as ``ExperimentResult.metadata["counters"]``.  The other diagnostics
+are projections of it: ``ExperimentResult.timings`` (the engine's own
+``capacity_presolve``/``rows``/``total`` plus the capacity and batch
+stage seconds), and the ``solver_stats``, ``vector_stats`` and
+``cache_stats`` metadata entries.  See ``docs/SAN_ENGINE.md`` for the
+user guide and ``docs/CAMPAIGN.md`` ("Counters") for the registry.
 """
 
 from __future__ import annotations
@@ -52,6 +50,7 @@ import math
 import os
 import time
 from contextlib import contextmanager
+from dataclasses import asdict
 from typing import (
     Callable,
     Dict,
@@ -63,20 +62,16 @@ from typing import (
     Tuple,
 )
 
+from repro import obs
 from repro.analytic.capacity import (
     CapacityModelConfig,
     assemble_capacity_topology,
     capacity_distribution,
-    capacity_solver_stats,
-    capacity_stage_timings,
-    seed_capacity_cache,
 )
-from repro.analytic.solve_cache import cache_stats
+from repro.analytic.solve_cache import CacheStats, cache_stats
 from repro.campaign import CampaignResult, CampaignRunner
 from repro.errors import ConfigurationError
 from repro.experiments.report import ExperimentResult
-from repro.simulation.batch import batch_stage_timings
-from repro.simulation.vector import vector_batch_stats
 
 __all__ = ["SweepRunner", "evaluate_grid"]
 
@@ -93,13 +88,6 @@ def _stage(timings: Dict[str, float], name: str):
         yield
     finally:
         timings[name] = timings.get(name, 0.0) + time.perf_counter() - start
-
-
-def _seed_worker(entries) -> None:
-    """Install the parent's solved ``P(k)`` entries into a worker's
-    capacity cache (kept for API compatibility; the campaign
-    orchestrator's initializer does this itself)."""
-    seed_capacity_cache(entries)
 
 
 class SweepRunner:
@@ -256,106 +244,64 @@ class SweepRunner:
         re-rated per point instead of regenerated.  ``affinity`` is
         forwarded to :meth:`map_rows` for campaign runs.
 
-        The ``assemble``/``refine``/``quotient``/``rerate``/``solve``
-        timings are deltas of the
-        capacity module's stage accumulators across the run, and the
-        ``batch_template``/``batch_replicate``/``batch_run``/
-        ``batch_vector``/``batch_vector_fallback`` timings are
-        deltas of the batched-replication engine's accumulators (see
-        :func:`repro.simulation.batch.batch_stage_timings`); the
-        vector engine's counter deltas (including the divergence-mask
-        fallback fraction) land in
-        ``ExperimentResult.metadata["vector_stats"]``.  Campaign runs
-        merge each pool worker's per-chunk deltas of the same
-        accumulators into these timings and counters, so parallel runs
-        attribute stage work instead of undercounting it, and record
-        the orchestrator's scheduling statistics (chunks, resumed,
-        stolen, retried, pool restarts) in
-        ``ExperimentResult.metadata["campaign"]``.
+        ``metadata["counters"]`` is the run's :mod:`repro.obs` counter
+        delta, including the deltas campaign runs' pool workers ship
+        home, so the totals hold at any ``n_jobs``.  Projections of it:
+
+        * ``timings``: the capacity stages (``assemble``, ``refine``,
+          ``quotient``, ``rerate``, ``solve``) and the replication
+          stages as ``batch_<stage>`` (``template``, ``replicate``,
+          ``run``, ``vector``, ``vector_fallback``);
+        * ``metadata["solver_stats"]``: the capacity solver counters
+          (solve methods, ``structure_fallbacks``, ...);
+        * ``metadata["vector_stats"]``: vector-engine calls,
+          replications and oracle fallbacks, with the run's
+          ``fallback_fraction``;
+        * ``metadata["cache_stats"]``: per live solve cache, the run's
+          ``hits``/``misses``/``evictions`` and their ``hit_rate``,
+          with ``size``/``maxsize`` read at the end of the run.
+
+        Campaign runs also record the orchestrator's scheduling
+        statistics (chunks, resumed, stolen, retried, pool restarts)
+        in ``metadata["campaign"]``.
         """
         timings: Dict[str, float] = {}
-        before = capacity_stage_timings()
-        batch_before = batch_stage_timings()
-        vector_before = vector_batch_stats()
-        solver_before = capacity_solver_stats()
+        before = obs.snapshot()
         with _stage(timings, "total"):
             with _stage(timings, "capacity_presolve"):
                 self.preassemble_capacity(preassemble)
                 self.presolve_capacity(presolve)
             with _stage(timings, "rows"):
                 rows = self.map_rows(row_fn, points, affinity=affinity)
-        after = capacity_stage_timings()
-        batch_after = batch_stage_timings()
         campaign = self.last_campaign
-        worker_stages = (
-            campaign.worker_stage_timings() if campaign is not None else {}
-        )
-        worker_batch = (
-            campaign.worker_batch_timings() if campaign is not None else {}
-        )
-        for stage in ("assemble", "refine", "quotient", "rerate", "solve"):
-            timings[stage] = (
-                after.get(stage, 0.0)
-                - before.get(stage, 0.0)
-                + worker_stages.get(stage, 0.0)
-            )
-        for stage in ("template", "replicate", "run", "vector", "vector_fallback"):
-            timings[f"batch_{stage}"] = (
-                batch_after.get(stage, 0.0)
-                - batch_before.get(stage, 0.0)
-                + worker_batch.get(stage, 0.0)
-            )
-        solver_after = capacity_solver_stats()
-        vector_after = vector_batch_stats()
-        worker_solver = (
-            campaign.worker_counter_sums("solver_stats")
-            if campaign is not None
-            else {}
-        )
-        metadata: Dict[str, object] = {
-            # Run-level deltas of the capacity solver counters --
-            # notably ``structure_fallbacks`` / ``solver_fallbacks``,
-            # which the optimize experiment additionally records
-            # per-cell.  Campaign runs add the worker-side deltas, so
-            # the totals hold at any n_jobs.
-            "solver_stats": {
-                key: solver_after.get(key, 0)
-                - solver_before.get(key, 0)
-                + worker_solver.get(key, 0)
-                for key in solver_after
-            },
-            "cache_stats": {
-                name: {
-                    "hits": stats.hits,
-                    "misses": stats.misses,
-                    "evictions": stats.evictions,
-                    "size": stats.size,
-                    "maxsize": stats.maxsize,
-                    "hit_rate": stats.hit_rate,
-                }
-                for name, stats in cache_stats().items()
-            },
-        }
-        # Vector-engine counter deltas (calls / replications / rows
-        # shunted to the scalar oracle) with the run-level fallback
-        # fraction; worker-side deltas included for campaign runs.
-        worker_vector = (
-            campaign.worker_counter_sums("vector_stats")
-            if campaign is not None
-            else {}
-        )
-        vector_delta = {
-            key: vector_after.get(key, 0)
-            - vector_before.get(key, 0)
-            + worker_vector.get(key, 0)
-            for key in ("calls", "replications", "fallbacks")
-        }
-        vector_delta["fallback_fraction"] = (
-            vector_delta["fallbacks"] / vector_delta["replications"]
-            if vector_delta["replications"]
+        counters = obs.delta(before, obs.snapshot())
+        if campaign is not None:
+            counters = obs.merge(counters, campaign.worker_counters())
+        timings.update(obs.section(counters, "capacity.stage."))
+        for stage, seconds in obs.section(counters, "batch.").items():
+            timings[f"batch_{stage}"] = seconds
+        vector = obs.section(counters, "vector.")
+        vector["fallback_fraction"] = (
+            vector["fallbacks"] / vector["replications"]
+            if vector["replications"]
             else 0.0
         )
-        metadata["vector_stats"] = vector_delta
+        cache = {}
+        for name, now in cache_stats().items():
+            run = CacheStats(
+                hits=counters.get(f"cache.{name}.hits", 0),
+                misses=counters.get(f"cache.{name}.misses", 0),
+                evictions=counters.get(f"cache.{name}.evictions", 0),
+                size=now.size,
+                maxsize=now.maxsize,
+            )
+            cache[name] = {**asdict(run), "hit_rate": run.hit_rate}
+        metadata: Dict[str, object] = {
+            "counters": counters,
+            "solver_stats": obs.section(counters, "capacity.solver."),
+            "cache_stats": cache,
+            "vector_stats": vector,
+        }
         if campaign is not None:
             metadata["campaign"] = {
                 **campaign.stats,

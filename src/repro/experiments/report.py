@@ -79,9 +79,11 @@ class ExperimentResult:
     experiments that do not time themselves.
 
     ``metadata`` carries auxiliary diagnostics that are not part of the
-    rendered table -- the engine stores solve-cache statistics under
-    ``"cache_stats"`` (name -> :class:`CacheStats`-shaped dict) so runs
-    can report how much memoization saved.
+    rendered table -- the engine stores the run's counter delta under
+    ``"counters"`` and solve-cache statistics under ``"cache_stats"``
+    (name -> :class:`CacheStats`-shaped dict whose hits, misses and
+    evictions are run deltas, pool workers included) so runs can
+    report how much memoization saved.
     """
 
     experiment_id: str

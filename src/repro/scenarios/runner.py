@@ -63,10 +63,10 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.analytic.capacity import (
     capacity_cross_check,
     capacity_distribution,
-    capacity_solver_stats,
 )
 from repro.analytic.composition import compose
 from repro.analytic.distributions import Exponential
@@ -422,7 +422,6 @@ def _protocol_mc_check(case: ScenarioCase) -> Tuple[CheckOutcome, Dict[str, obje
     from repro.simulation.vector import (
         draw_protocol_tapes,
         scalar_reference_levels,
-        vector_batch_stats,
     )
 
     params = case.params()
@@ -441,12 +440,11 @@ def _protocol_mc_check(case: ScenarioCase) -> Tuple[CheckOutcome, Dict[str, obje
     rng_oracle.uniform(0.0, geometry.l1, size=n)
     duration_dist.sample_many(rng_oracle, n)
 
-    before = vector_batch_stats()
+    before = obs.snapshot()
     levels_vector, detected_vector = template.sample_levels(
         rng_vector, onsets, durations, engine="vector"
     )
-    after = vector_batch_stats()
-    fallbacks = int(after["fallbacks"] - before["fallbacks"])
+    fallbacks = int(obs.delta(before, obs.snapshot())["vector.fallbacks"])
 
     tapes = draw_protocol_tapes(template, rng_oracle, n)
     levels_oracle, detected_oracle = scalar_reference_levels(
@@ -486,7 +484,7 @@ def run_case(
     the cell's exception taxonomy (type name -> count), fail the check
     that raised them and flip the cell status to ``"error"``."""
     start = time.perf_counter()
-    stats_before = capacity_solver_stats()
+    before = obs.snapshot()
     checks: List[CheckOutcome] = []
     metrics: Dict[str, object] = {}
     exceptions: Dict[str, int] = {}
@@ -609,10 +607,9 @@ def run_case(
             except Exception as error:  # noqa: BLE001
                 note_exception(name, error)
 
-    stats_after = capacity_solver_stats()
+    solver = obs.section(obs.delta(before, obs.snapshot()), "capacity.solver.")
     fallbacks = {
-        key: stats_after[key] - stats_before[key]
-        for key in ("solver_fallbacks", "structure_fallbacks")
+        key: solver[key] for key in ("solver_fallbacks", "structure_fallbacks")
     }
     if exceptions:
         status = "error"

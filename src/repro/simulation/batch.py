@@ -43,13 +43,12 @@ See ``docs/SIMULATION.md`` for the user guide.
 from __future__ import annotations
 
 import math
-import threading
 import time
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.analytic.distributions import Distribution
 from repro.core.config import EvaluationParams
 from repro.core.qos import QoSLevel
@@ -72,31 +71,16 @@ __all__ = [
     "reset_batch_stage_timings",
 ]
 
-# Per-stage wall-clock accumulators (seconds) for this process.  The
-# experiment engine reports run-level deltas; benchmarks read them
-# directly.
-_STATS_LOCK = threading.Lock()
-_STAGE_TIMINGS = {
-    "template": 0.0,
-    "replicate": 0.0,
-    "run": 0.0,
-    # Vector-engine stages (repro.simulation.vector): total time inside
-    # the vectorized pass, and the portion spent re-running divergent
-    # replications through the scalar oracle.
-    "vector": 0.0,
-    "vector_fallback": 0.0,
-}
-
-
-@contextmanager
-def _timed(stage: str) -> Iterator[None]:
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        elapsed = time.perf_counter() - start
-        with _STATS_LOCK:
-            _STAGE_TIMINGS[stage] += elapsed
+# Per-stage wall-clock seconds of this process, in the counter registry
+# (repro.obs) under ``batch.*``.  The experiment engine reports
+# run-level deltas; benchmarks read them directly.  ``vector`` and
+# ``vector_fallback`` are the vector engine's stages
+# (repro.simulation.vector): total time inside the vectorized pass, and
+# the portion spent re-running divergent replications through the
+# scalar oracle.
+obs.declare(
+    "batch.", ("template", "replicate", "run", "vector", "vector_fallback"), 0.0
+)
 
 
 def batch_stage_timings() -> Dict[str, float]:
@@ -104,15 +88,12 @@ def batch_stage_timings() -> Dict[str, float]:
     stages: ``template`` (one-time scenario construction),
     ``replicate`` (per-sample state reset + event scheduling) and
     ``run`` (discrete-event execution + adjudication)."""
-    with _STATS_LOCK:
-        return dict(_STAGE_TIMINGS)
+    return obs.section(obs.snapshot(), "batch.")
 
 
 def reset_batch_stage_timings() -> None:
     """Zero the stage accumulators (benchmark hygiene)."""
-    with _STATS_LOCK:
-        for key in _STAGE_TIMINGS:
-            _STAGE_TIMINGS[key] = 0.0
+    obs.reset("batch.")
 
 
 class Replication:
@@ -176,9 +157,7 @@ class Replication:
             message_log=list(template.network.log),
             detection_time=self.detection_time,
         )
-        elapsed = time.perf_counter() - start
-        with _STATS_LOCK:
-            _STAGE_TIMINGS["run"] += elapsed
+        obs.add("batch.run", time.perf_counter() - start)
         return outcome
 
     def run_level(self) -> Tuple[int, bool]:
@@ -201,9 +180,7 @@ class Replication:
         level = ground.achieved_level(
             self.signal.signal_id, template.params.tau
         )
-        elapsed = time.perf_counter() - start
-        with _STATS_LOCK:
-            _STAGE_TIMINGS["run"] += elapsed
+        obs.add("batch.run", time.perf_counter() - start)
         return level, self.detection_time is not None
 
 
@@ -245,7 +222,7 @@ class ScenarioTemplate:
         lazy_events: bool = True,
         record_log: bool = False,
     ):
-        with _timed("template"):
+        with obs.timed("batch.template"):
             self.geometry = geometry
             self.params = params
             self.scheme = scheme
@@ -397,9 +374,7 @@ class ScenarioTemplate:
             rng,
             detection_time,
         )
-        elapsed = time.perf_counter() - start
-        with _STATS_LOCK:
-            _STAGE_TIMINGS["replicate"] += elapsed
+        obs.add("batch.replicate", time.perf_counter() - start)
         return replication
 
     def sample_levels(
@@ -501,9 +476,8 @@ class ScenarioTemplate:
             spent_replicate += mid - start
             spent_run += end - mid
             start = end
-        with _STATS_LOCK:
-            _STAGE_TIMINGS["replicate"] += spent_replicate
-            _STAGE_TIMINGS["run"] += spent_run
+        obs.add("batch.replicate", spent_replicate)
+        obs.add("batch.run", spent_run)
         return levels, detected
 
     # ------------------------------------------------------------------

@@ -54,12 +54,12 @@ user guide and for when to prefer ``engine="vector"`` over
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.analytic.distributions import Exponential
 from repro.core.schemes import Scheme
 from repro.errors import ConfigurationError
@@ -82,8 +82,7 @@ __all__ = [
 #: ``GroundStation.achieved_level``).
 _TOL = 1e-9
 
-_STATS_LOCK = threading.Lock()
-_STATS = {"calls": 0, "replications": 0, "fallbacks": 0}
+obs.declare("vector.", ("calls", "replications", "fallbacks"))
 
 
 def vector_batch_stats() -> Dict[str, float]:
@@ -91,8 +90,7 @@ def vector_batch_stats() -> Dict[str, float]:
     (vector-path invocations), ``replications`` (total rows processed),
     ``fallbacks`` (rows shunted to the scalar oracle) and the derived
     ``fallback_fraction``."""
-    with _STATS_LOCK:
-        stats: Dict[str, float] = dict(_STATS)
+    stats = obs.section(obs.snapshot(), "vector.")
     total = stats["replications"]
     stats["fallback_fraction"] = stats["fallbacks"] / total if total else 0.0
     return stats
@@ -100,9 +98,7 @@ def vector_batch_stats() -> Dict[str, float]:
 
 def reset_vector_batch_stats() -> None:
     """Zero the vector-engine counters (benchmark hygiene)."""
-    with _STATS_LOCK:
-        for key in _STATS:
-            _STATS[key] = 0
+    obs.reset("vector.")
 
 
 @dataclass
@@ -540,9 +536,7 @@ def sample_levels_vector(
     protocol randomness drawn from ``rng`` as tapes.  Rows the vector
     model cannot decide exactly are delegated to the scalar oracle on
     the same tape rows (divergence-mask fallback)."""
-    from repro.simulation import batch as _batch
-
-    with _batch._timed("vector"):
+    with obs.timed("batch.vector"):
         onsets = np.ascontiguousarray(onsets, dtype=float)
         durations = np.ascontiguousarray(durations, dtype=float)
         count = len(onsets)
@@ -562,14 +556,13 @@ def sample_levels_vector(
         fallback_count = int(np.count_nonzero(fallback))
         if fallback_count:
             indices = np.flatnonzero(fallback)
-            with _batch._timed("vector_fallback"):
+            with obs.timed("batch.vector_fallback"):
                 oracle_levels, oracle_detected = scalar_reference_levels(
                     template, onsets, durations, tapes, indices=indices
                 )
             levels[indices] = oracle_levels
             detected[indices] = oracle_detected
-    with _STATS_LOCK:
-        _STATS["calls"] += 1
-        _STATS["replications"] += count
-        _STATS["fallbacks"] += fallback_count
+    obs.add("vector.calls")
+    obs.add("vector.replications", count)
+    obs.add("vector.fallbacks", fallback_count)
     return levels, detected

@@ -7,8 +7,10 @@ import json
 import os
 import pickle
 
+import numpy as np
 import pytest
 
+from repro import obs
 from repro.analytic.capacity import (
     CapacityModelConfig,
     capacity_distribution,
@@ -21,8 +23,10 @@ from repro.campaign import (
     load_journal,
     plan_chunks,
 )
+from repro.core.config import EvaluationParams
 from repro.errors import CampaignError, ConfigurationError
 from repro.experiments.engine import SweepRunner
+from repro.simulation.batch import ScenarioTemplate
 
 
 # ----------------------------------------------------------------------
@@ -69,6 +73,36 @@ def _solving_row(point):
 
 def _group_of(point):
     return point["x"] % 3
+
+
+#: A counter no program module knows about: the registry, the chunk
+#: deltas and the run metadata must carry it without being told.
+_PROBE = "test.one_source.rows"
+
+
+def _counted_row(point):
+    """A capacity solve, or one lossy vector-engine batch (every row
+    shunted to the scalar oracle), plus the throwaway probe counter."""
+    obs.add(_PROBE)
+    if point["kind"] == "vector":
+        params = EvaluationParams(signal_termination_rate=0.2)
+        template = ScenarioTemplate(
+            params.constellation.plane_geometry(9),
+            params,
+            crosslink_loss_probability=0.1,
+        )
+        rng = np.random.default_rng(point["seed"])
+        onsets = rng.uniform(0.0, template.geometry.l1, size=40)
+        durations = rng.exponential(1.0 / params.mu, size=40)
+        levels, _ = template.sample_levels(
+            rng, onsets, durations, engine="vector"
+        )
+        return {"kind": "vector", "levels": levels.tolist()}
+    return _solving_row(point)
+
+
+def _counted_affinity(point):
+    return point["kind"]
 
 
 # ----------------------------------------------------------------------
@@ -403,3 +437,55 @@ class TestSweepRunnerIntegration:
         campaign = result.metadata["campaign"]
         assert campaign["points"] == 2
         assert campaign["submissions"] <= campaign["chunks"] + campaign["stolen"]
+
+    def test_counters_are_one_source_at_any_worker_count(self, tmp_path):
+        """The same grid through the orchestrator inline (journaled
+        n_jobs=1) and over a pool (n_jobs=2) reports identical integer
+        counters; a counter only the row function knows reaches the
+        metadata from the pool workers."""
+        points = [{"kind": "capacity", "lam": lam} for lam in (2e-5, 4e-5, 6e-5)]
+        points.append({"kind": "vector", "seed": 11})
+
+        def run(runner):
+            clear_capacity_caches()
+            return runner.run(
+                experiment_id="one-source",
+                title="one source",
+                headers=["kind"],
+                row_fn=_counted_row,
+                points=points,
+                affinity=_counted_affinity,
+            )
+
+        pooled = run(SweepRunner(n_jobs=2, steal=False))
+        assert _PROBE not in obs.snapshot()  # only the workers counted
+        assert pooled.metadata["counters"][_PROBE] == len(points)
+        inline = run(SweepRunner(n_jobs=1, journal=str(tmp_path / "j.jsonl")))
+        assert inline.rows == pooled.rows
+
+        def integers(counters):
+            return {k: v for k, v in counters.items() if isinstance(v, int)}
+
+        def floats(counters):
+            return {k for k, v in counters.items() if isinstance(v, float)}
+
+        mine, theirs = inline.metadata, pooled.metadata
+        ints = integers(mine["counters"])
+        assert ints[_PROBE] == len(points)
+        assert ints["capacity.solver.direct"] + ints["capacity.solver.iterative"] == 3
+        assert ints["vector.replications"] == ints["vector.fallbacks"] == 40
+        for key in set(ints) | set(integers(theirs["counters"])):
+            assert ints.get(key, 0) == theirs["counters"].get(key, 0), key
+        assert floats(mine["counters"]) == floats(theirs["counters"])
+        assert mine["solver_stats"] == theirs["solver_stats"]
+        assert mine["vector_stats"] == theirs["vector_stats"]
+        assert mine["vector_stats"]["fallback_fraction"] == 1.0
+        for name in ("capacity-distribution", "capacity-unfold", "capacity-assemble"):
+            for kind in ("hits", "misses", "evictions"):
+                assert (
+                    mine["cache_stats"][name][kind]
+                    == theirs["cache_stats"][name][kind]
+                ), (name, kind)
+        assert mine["cache_stats"]["capacity-distribution"]["misses"] == 3
+        assert set(inline.timings) == set(pooled.timings)
+        assert pooled.timings["batch_vector_fallback"] > 0.0

@@ -295,24 +295,31 @@ class TestSweepRunner:
             distribution = capacity_distribution(config, stages=24)
             return {"x": point["x"], "y": max(distribution.values())}
 
-        result = SweepRunner().run(
-            experiment_id="demo",
-            title="demo",
-            headers=["x", "y"],
-            row_fn=solving_row,
-            points=[{"x": 1}],
-            presolve=[(config, 24)],
-        )
-        stats = result.metadata["cache_stats"]
+        def run():
+            return SweepRunner().run(
+                experiment_id="demo",
+                title="demo",
+                headers=["x", "y"],
+                row_fn=solving_row,
+                points=[{"x": 1}],
+                presolve=[(config, 24)],
+            )
+
+        stats = run().metadata["cache_stats"]
         # The capacity caches are registered by name; the presolve is
         # the miss, the row's re-solve of the same config the hit.
         distributions = stats["capacity-distribution"]
-        assert distributions["misses"] >= 1
-        assert distributions["hits"] >= 1
-        assert 0.0 <= distributions["hit_rate"] <= 1.0
+        assert distributions["misses"] == 1
+        assert distributions["hits"] == 1
+        assert distributions["hit_rate"] == 0.5
         assert set(distributions) == {
             "hits", "misses", "evictions", "size", "maxsize", "hit_rate",
         }
+        # Hits and misses are run deltas (an earlier run's hits do not
+        # leak in); size and maxsize are read at the end of the run.
+        again = run().metadata["cache_stats"]["capacity-distribution"]
+        assert (again["hits"], again["misses"]) == (2, 0)
+        assert again["size"] == distributions["size"] >= 1
 
     def test_preassemble_shares_one_topology_across_rate_configs(self):
         """Configs differing only in rate parameters collapse onto one
