@@ -34,32 +34,33 @@ sensitivity study.
 Solution paths:
 
 * :func:`capacity_distribution` -- numerical: reachability graph,
-  Erlang phase-type unfolding of the two deterministic timers,
-  sparse steady-state solve;
+  Erlang phase-type unfolding of the two deterministic timers
+  (:func:`repro.san.assembled.assemble`), sparse steady-state solve;
+* :func:`capacity_transient` -- uniformisation on the same assembled
+  chain, from a freshly deployed plane;
 * :func:`capacity_distribution_simulated` -- discrete-event simulation
   of the same SAN with *exact* deterministic timers (cross-check);
 * :func:`capacity_distribution_exponential` -- all-exponential variant
   (timers replaced by exponentials of equal mean), the crudest
   approximation, used in the ablation benchmark.
 
-The numerical paths are **memoized**: ``P(k)`` depends only on the
-frozen :class:`CapacityModelConfig` and the stage count, so sweeps over
-``tau`` / ``mu`` (and repeated figure regenerations) reuse one solve
-per distinct key.  Both the final distributions and the intermediate
-structures are cached in module-level
-:class:`~repro.analytic.solve_cache.LRUSolveCache` instances;
+The numerical paths are **memoized** in two module-level
+:class:`~repro.analytic.solve_cache.LRUSolveCache` instances.  The
+*distribution* cache holds the final ``P(k)`` per ``(config, stages,
+variant)``, so sweeps over ``tau`` / ``mu`` (and repeated figure
+regenerations) reuse one solve per distinct key.  The *topology* cache
+holds the assembled chain per structural key
+(:func:`capacity_topology_key`): the **topology/rate split**
+(:mod:`repro.san.assembled`).  Every steady-state solve and every
+transient of a topology re-rates that one structure, so a sweep varying
+a *rate* (failure rate ``lambda``, the period ``phi``, the replacement
+latency) pays the reachability + unfolding once and re-rates the arrays
+per point; successive steady states on one topology are warm-started
+iterative solves seeded from the previous point's ``pi`` (with
+automatic fallback to the direct factorisation).
 :func:`capacity_cache_stats` exposes hit/miss counters for tests and
 benchmarks, :func:`capacity_caches_disabled` restores the seed's
 solve-per-call behaviour for baseline measurements.
-
-Sweeps varying a *rate* (failure rate ``lambda``, the period ``phi``,
-the replacement latency) additionally exploit the **topology/rate
-split** (:mod:`repro.san.assembled`): the expensive reachability +
-unfolding structure is cached per *topology*
-(:func:`assemble_capacity_topology`), each parameter point re-rates the
-arrays in microseconds, and successive steady states on one topology
-are warm-started iterative solves seeded from the previous point's
-``pi`` (with automatic fallback to the direct factorisation).
 :func:`capacity_stage_timings` and :func:`capacity_solver_stats`
 expose the per-stage costs and solve-method counters.
 """
@@ -93,8 +94,6 @@ from repro.san import (
     from_state_space,
     generate,
     lumped_state_space,
-    steady_state_marking_distribution,
-    unfold,
 )
 
 __all__ = [
@@ -115,7 +114,6 @@ __all__ = [
     "capacity_stage_timings",
     "capacity_topology_key",
     "clear_capacity_caches",
-    "configure_capacity_caches",
     "expanded_capacity_summary",
     "seed_capacity_cache",
 ]
@@ -549,13 +547,11 @@ def build_capacity_san_expanded(config: CapacityModelConfig) -> SANModel:
 # ----------------------------------------------------------------------
 # Memoization layer
 # ----------------------------------------------------------------------
-# Final P(k) dictionaries are tiny; the unfolded chains are not, so the
-# structural caches are kept small.  Distribution keys are
-# (config, stages, variant); unfold keys are (config, stages); assemble
-# keys are topology-only (_topology_key) so every rate point of a sweep
-# shares one structure.
+# Final P(k) dictionaries are tiny; the assembled chains are not, so the
+# structural cache is kept small.  Distribution keys are
+# (config, stages, variant); assemble keys are topology-only
+# (_topology_key) so every rate point of a sweep shares one structure.
 _DISTRIBUTION_CACHE = LRUSolveCache(maxsize=256, name="capacity-distribution")
-_UNFOLD_CACHE = LRUSolveCache(maxsize=8, name="capacity-unfold")
 _ASSEMBLE_CACHE = LRUSolveCache(maxsize=8, name="capacity-assemble")
 _CACHING_ENABLED = True
 
@@ -591,7 +587,7 @@ def capacity_solver_stats() -> Dict[str, int]:
     the solves seeded from a previous point, ``gmres_iterations`` the
     total inner iterations, ``solver_fallbacks`` iterative attempts
     that fell back to direct, and ``structure_fallbacks`` re-rate
-    attempts rejected by topology validation (full rebuild taken).
+    attempts rejected by topology validation (fresh assemble taken).
     """
     return obs.section(obs.snapshot(), "capacity.solver.")
 
@@ -620,7 +616,6 @@ def capacity_cache_stats() -> Dict[str, CacheStats]:
     """
     return {
         "distribution": _DISTRIBUTION_CACHE.stats(),
-        "unfold": _UNFOLD_CACHE.stats(),
         "assemble": _ASSEMBLE_CACHE.stats(),
     }
 
@@ -629,25 +624,9 @@ def clear_capacity_caches(*, reset_stats: bool = False) -> None:
     """Drop all cached solves, including assembled topologies and their
     warm-start state (counters survive unless asked not to)."""
     _DISTRIBUTION_CACHE.clear(reset_stats=reset_stats)
-    _UNFOLD_CACHE.clear(reset_stats=reset_stats)
     _ASSEMBLE_CACHE.clear(reset_stats=reset_stats)
     if reset_stats:
         obs.reset("capacity.")
-
-
-def configure_capacity_caches(
-    *,
-    distribution_maxsize: Optional[int] = None,
-    unfold_maxsize: Optional[int] = None,
-    assemble_maxsize: Optional[int] = None,
-) -> None:
-    """Resize the caches (evicting LRU entries when shrinking)."""
-    if distribution_maxsize is not None:
-        _DISTRIBUTION_CACHE.resize(distribution_maxsize)
-    if unfold_maxsize is not None:
-        _UNFOLD_CACHE.resize(unfold_maxsize)
-    if assemble_maxsize is not None:
-        _ASSEMBLE_CACHE.resize(assemble_maxsize)
 
 
 def capacity_cache_snapshot():
@@ -679,20 +658,6 @@ def _memoized(cache: LRUSolveCache, key, factory):
     if not _CACHING_ENABLED:
         return factory()
     return cache.get_or_compute(key, factory)
-
-
-def _unfolded_chain(config: CapacityModelConfig, stages: int):
-    """Cached (model, space, chain) triple for the deterministic-timer
-    SAN -- shared by the transient path and the full-rebuild fallback."""
-
-    def build():
-        with obs.timed("capacity.stage.assemble"):
-            model = build_capacity_san(config)
-            space = generate(model)
-            chain = unfold(space, stages=stages)
-        return model, space, chain
-
-    return _memoized(_UNFOLD_CACHE, (config, stages), build)
 
 
 # ----------------------------------------------------------------------
@@ -740,17 +705,19 @@ class _AssembledTopology:
         self.warm_start: Optional[SteadyStateWarmStart] = None
 
 
+def _assemble_counted(model: SANModel, stages: int) -> _AssembledTopology:
+    with obs.timed("capacity.stage.assemble"):
+        return _AssembledTopology(assemble(generate(model), stages=stages))
+
+
 def _assembled_topology(
     config: CapacityModelConfig, stages: int
 ) -> _AssembledTopology:
-    def build() -> _AssembledTopology:
-        with obs.timed("capacity.stage.assemble"):
-            model = build_capacity_san(config)
-            space = generate(model)
-            chain = assemble(space, stages=stages)
-        return _AssembledTopology(chain)
-
-    return _memoized(_ASSEMBLE_CACHE, _topology_key(config, stages), build)
+    return _memoized(
+        _ASSEMBLE_CACHE,
+        _topology_key(config, stages),
+        lambda: _assemble_counted(build_capacity_san(config), stages),
+    )
 
 
 def assemble_capacity_topology(
@@ -765,27 +732,22 @@ def assemble_capacity_topology(
     return _assembled_topology(config, stages).chain
 
 
-def _marking_capacity_distribution(marking_probs, model: SANModel) -> Dict[int, float]:
-    position = model.place_index.position("active")
+def _capacity_pk(
+    weighted_markings, positions: Tuple[int, ...]
+) -> Dict[int, float]:
+    """Project ``(marking, probability)`` pairs onto ``P(k)``, where
+    ``k`` is the token count over ``positions`` (the ``active`` place of
+    the counted model, the ``sat_i`` places of the expanded one).  Keys
+    come out sorted; every solution path shares this one projection."""
     result: Dict[int, float] = {}
-    for marking, probability in marking_probs.items():
-        k = marking[position]
+    for marking, probability in weighted_markings:
+        k = sum(marking[p] for p in positions)
         result[k] = result.get(k, 0.0) + probability
     return {k: result[k] for k in sorted(result)}
 
 
-def _solve_full_rebuild(
-    config: CapacityModelConfig, stages: int
-) -> Dict[int, float]:
-    """The pre-split pipeline: regenerate, unfold and solve directly.
-    Kept as the fallback when topology validation rejects a re-rate."""
-    model, space, chain = _unfolded_chain(config, stages)
-    with obs.timed("capacity.stage.solve"):
-        by_marking_index = chain.steady_state_markings()
-    marking_probs = {
-        space.markings[idx]: prob for idx, prob in by_marking_index.items()
-    }
-    return _marking_capacity_distribution(marking_probs, model)
+def _active_positions(model: SANModel) -> Tuple[int, ...]:
+    return model.place_index.positions(("active",))
 
 
 def _steady_state_marking_marginals(entry: _AssembledTopology, model: SANModel):
@@ -824,8 +786,9 @@ def capacity_distribution(
     sharing a topology (rate sweeps) share one assembled structure and
     only re-rate + solve per point; successive solves on a topology
     warm-start from the previous stationary vector
-    (:meth:`repro.san.ctmc.CTMC.steady_state_solve`), falling back to
-    the full rebuild path on any structural mismatch.
+    (:meth:`repro.san.ctmc.CTMC.steady_state_solve`).  On any structural
+    mismatch the point is solved on a fresh, uncached assembly of its
+    own model instead, leaving the cached topology untouched.
     """
 
     def solve() -> Dict[int, float]:
@@ -838,15 +801,12 @@ def capacity_distribution(
             # for capacity configs -- the topology key covers every
             # structural field -- but re-rating must never be wrong).
             obs.add("capacity.solver.structure_fallbacks")
-            return _solve_full_rebuild(config, stages)
-        position = model.place_index.position("active")
-        result: Dict[int, float] = {}
-        for marking, probability in zip(
-            entry.chain.space.markings, marginals.tolist()
-        ):
-            k = marking[position]
-            result[k] = result.get(k, 0.0) + probability
-        return {k: result[k] for k in sorted(result)}
+            entry = _assemble_counted(model, stages)
+            marginals = _steady_state_marking_marginals(entry, model)
+        return _capacity_pk(
+            zip(entry.chain.space.markings, marginals.tolist()),
+            _active_positions(model),
+        )
 
     result = _memoized(_DISTRIBUTION_CACHE, (config, stages, "erlang"), solve)
     return dict(result)
@@ -894,16 +854,10 @@ def _solve_expanded_pk(
 ) -> Dict[int, float]:
     model = build_capacity_san_expanded(config)
     marginals = _steady_state_marking_marginals(entry, model)
-    positions = model.place_index.positions(
-        _satellite_names(config.full_capacity)
+    return _capacity_pk(
+        zip(entry.chain.space.markings, marginals.tolist()),
+        model.place_index.positions(_satellite_names(config.full_capacity)),
     )
-    result: Dict[int, float] = {}
-    for marking, probability in zip(
-        entry.chain.space.markings, marginals.tolist()
-    ):
-        k = sum(marking[p] for p in positions)
-        result[k] = result.get(k, 0.0) + probability
-    return {k: result[k] for k in sorted(result)}
 
 
 def capacity_distribution_expanded(
@@ -1009,10 +963,10 @@ def capacity_distribution_exponential(
     def solve() -> Dict[int, float]:
         model = build_capacity_san(config, exponential_timers=True)
         space = generate(model)
-        ctmc = from_state_space(space)
-        pi = ctmc.steady_state()
-        marking_probs = steady_state_marking_distribution(space, pi)
-        return _marking_capacity_distribution(marking_probs, model)
+        pi = from_state_space(space).steady_state()
+        return _capacity_pk(
+            zip(space.markings, pi.tolist()), _active_positions(model)
+        )
 
     result = _memoized(
         _DISTRIBUTION_CACHE, (config, None, "exponential"), solve
@@ -1032,12 +986,9 @@ def capacity_distribution_simulated(
     model = build_capacity_san(config)
     simulator = SANSimulator(model, seed=seed)
     result = simulator.run(horizon_hours, warmup=warmup_hours, rewards={})
-    position = model.place_index.position("active")
-    distribution: Dict[int, float] = {}
-    for marking, fraction in result.marking_occupancy.items():
-        k = marking[position]
-        distribution[k] = distribution.get(k, 0.0) + fraction
-    return {k: distribution[k] for k in sorted(distribution)}
+    return _capacity_pk(
+        result.marking_occupancy.items(), _active_positions(model)
+    )
 
 
 #: Uniformisation truncation tolerance for transient solves.  Tight
@@ -1061,8 +1012,11 @@ def capacity_transient(
     justified steady state there): useful for questions like "how
     degraded is the constellation likely to be halfway through a
     scheduled-deployment period?".  Solved by uniformisation on the
-    phase-type-unfolded chain (cached, so evaluating more time points
-    later reuses the structural work).
+    cached assembled topology re-rated to ``config`` -- the structure
+    every steady-state solve on that topology shares, so evaluating
+    more time points (or rates) later reuses the structural work.
+    Every time must be finite and non-negative (:class:`ModelError`
+    otherwise).
 
     With ``incremental`` (the default) the time points are evaluated in
     sorted order and each solve advances the state vector from the
@@ -1073,16 +1027,17 @@ def capacity_transient(
     truncation tolerance keeps them numerically identical to well
     below 1e-12.
     """
-    model, space, chain = _unfolded_chain(config, stages)
-    position = model.place_index.position("active")
+    chain = _assembled_topology(config, stages).chain
+    model = build_capacity_san(config)
+    with obs.timed("capacity.stage.rerate"):
+        ctmc = chain.rerate(model)
+    positions = _active_positions(model)
 
     def marginal(probabilities) -> Dict[int, float]:
-        by_marking = chain.marginalise(probabilities)
-        distribution: Dict[int, float] = {}
-        for marking_index, probability in by_marking.items():
-            k = space.markings[marking_index][position]
-            distribution[k] = distribution.get(k, 0.0) + probability
-        return {k: distribution[k] for k in sorted(distribution)}
+        marginals = chain.marking_marginals(probabilities)
+        return _capacity_pk(
+            zip(chain.space.markings, marginals.tolist()), positions
+        )
 
     unique_times = sorted({float(t) for t in times})
     by_time: Dict[float, Dict[int, float]] = {}
@@ -1090,7 +1045,7 @@ def capacity_transient(
         previous_time = 0.0
         vector = None
         for t in unique_times:
-            vector = chain.ctmc.transient(
+            vector = ctmc.transient(
                 t - previous_time,
                 initial=vector,
                 tolerance=_TRANSIENT_TOLERANCE,
@@ -1100,7 +1055,7 @@ def capacity_transient(
     else:
         for t in unique_times:
             by_time[t] = marginal(
-                chain.ctmc.transient(t, tolerance=_TRANSIENT_TOLERANCE)
+                ctmc.transient(t, tolerance=_TRANSIENT_TOLERANCE)
             )
     # Preserve the caller's key set / iteration order (duplicates
     # collapse onto the same float key exactly as before).

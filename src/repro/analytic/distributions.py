@@ -5,7 +5,7 @@ The paper assumes exponentially distributed signal durations (rate
 signal-occurrence process (hence uniform onset position over a cycle).
 The SAN capacity model additionally needs deterministic timers, which
 UltraSAN supported natively; we expose :class:`Deterministic` plus its
-Erlang phase-type approximation (see :mod:`repro.san.phase_type`).
+Erlang phase-type approximation (see :mod:`repro.san.assembled`).
 
 Only the handful of methods the library needs are implemented (pdf,
 cdf, survival, mean, variance, sampling); scipy is deliberately not

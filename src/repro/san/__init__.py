@@ -9,10 +9,9 @@ probabilities ``P(k)``:
 * :mod:`repro.san.reachability` -- tangible reachability-graph
   generation with vanishing-marking elimination;
 * :mod:`repro.san.ctmc` -- steady-state and transient CTMC solvers;
-* :mod:`repro.san.phase_type` -- Erlang unfolding of deterministic
-  activities (UltraSAN supported these natively);
-* :mod:`repro.san.assembled` -- the topology/rate split: array-native
-  unfolded chains that re-rate without regeneration;
+* :mod:`repro.san.assembled` -- Erlang unfolding of deterministic
+  activities (UltraSAN supported these natively) into array-native
+  chains that re-rate without regeneration (the topology/rate split);
 * :mod:`repro.san.lumping` -- exact symmetry lumping: canonical-orbit
   reachability and refinement-verified quotient chains;
 * :mod:`repro.san.simulator` -- discrete-event execution with exact
@@ -51,7 +50,6 @@ from repro.san.model import (
     SANModel,
     TimedActivity,
 )
-from repro.san.phase_type import UnfoldedChain, unfold
 from repro.san.reachability import (
     GeneralTransition,
     MarkovianTransition,
@@ -62,7 +60,6 @@ from repro.san.reward import (
     expected_reward,
     probability_of,
     steady_state_marking_distribution,
-    unfolded_marking_distribution,
 )
 from repro.san.simulator import RewardEstimate, SANSimulator, SimulationResult
 
@@ -91,7 +88,6 @@ __all__ = [
     "SteadyStateSolution",
     "SteadyStateWarmStart",
     "TimedActivity",
-    "UnfoldedChain",
     "assemble",
     "canonical_marking",
     "expected_reward",
@@ -105,6 +101,4 @@ __all__ = [
     "probability_of",
     "replicate_lumped",
     "steady_state_marking_distribution",
-    "unfold",
-    "unfolded_marking_distribution",
 ]

@@ -1,7 +1,23 @@
-"""Array-native assembled form of a phase-type-unfolded SAN.
+"""Phase-type (Erlang) unfolding of a SAN into an array-native chain.
 
-This module is the *structure phase* of the topology/rate split.  The
-expensive part of solving a SAN at many parameter points is not the
+The paper's capacity model relies on UltraSAN's support for
+**deterministic activity times** (the scheduled-deployment period
+``phi`` and the launch delay).  We solve such models numerically by
+replacing each deterministic delay ``d`` with an Erlang distribution of
+``n`` stages and rate ``n/d`` -- same mean, squared coefficient of
+variation ``1/n`` -- and expanding the state space with per-activity
+stage counters.  As ``n`` grows the unfolded chain converges to the
+Markov-regenerative behaviour of the deterministic model; the SAN
+simulator (:mod:`repro.san.simulator`), which handles deterministic
+delays exactly, is used to cross-check (see the ablation benchmark).
+Unfolding semantics match the engine's execution rules: an activity
+keeps its accumulated stages while it remains enabled across other
+completions (preemptive-resume) and loses them when it becomes disabled
+(preemptive-restart).  Explicit ``Erlang`` activities keep their own
+shape.
+
+This module is also the *structure phase* of the topology/rate split.
+The expensive part of solving a SAN at many parameter points is not the
 linear algebra -- it is rebuilding the Python object graph (tangible
 reachability BFS + Erlang unfolding) for every point even when only the
 *rates* change.  :func:`assemble` runs the unfolding BFS once per
@@ -33,18 +49,15 @@ timer may only be swapped for an Erlang of the recorded stage count).
 A :class:`~repro.errors.ModelError` signals that the caller must fall
 back to a full rebuild.
 
-The unfolding semantics are identical to
-:func:`repro.san.phase_type.unfold` (which is now a thin wrapper over
-this module): preemptive-resume stage carry-over, preemptive-restart
-zeroing on re-enable, and the same deterministic transition emission
-order -- the two paths produce the same chain, transition for
-transition.
+A one-off solve is ``assemble(space).rerate(space.model)`` followed by
+:meth:`AssembledChain.marking_marginals` of the solved vector; sweeps
+hold the :class:`AssembledChain` and call ``rerate`` per point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -60,11 +73,6 @@ from repro.san.model import SANModel, TimedActivity
 from repro.san.reachability import StateSpace
 
 __all__ = ["RateSlot", "AssembledChain", "assemble"]
-
-#: An augmented state: (tangible-marking index, ((activity, stage), ...)).
-#: Kept identical to repro.san.phase_type.AugState (defined there too;
-#: duplicated here to avoid a circular import).
-AugState = Tuple[int, Tuple[Tuple[str, int], ...]]
 
 #: Case probabilities are structural; a re-rated model must reproduce
 #: them to this absolute tolerance.
@@ -93,8 +101,8 @@ class RateSlot:
 def _phase_stage_count(
     activity: str, distribution: Distribution, stages: int
 ) -> int:
-    """Erlang stage count of one general activity (mirrors
-    ``phase_type._phase_spec`` -- same errors, same choices)."""
+    """Erlang stage count of one general activity: ``stages`` for a
+    Deterministic timer, the explicit shape of an Erlang."""
     if isinstance(distribution, Deterministic):
         if distribution.value <= 0:
             raise ModelError(
@@ -363,38 +371,6 @@ class AssembledChain:
             minlength=len(self.space),
         )
 
-    def decode_states(self) -> List[AugState]:
-        """The augmented states as ``(marking, ((activity, stage), ...))``
-        tuples, in state order -- the representation
-        :class:`~repro.san.phase_type.UnfoldedChain` exposes."""
-        strides = self.stage_strides
-        capacities = self.stage_capacities
-        names = self.general_names
-        enabled = self._enabled_general_names()
-        states: List[AugState] = []
-        positions = {name: i for i, name in enumerate(names)}
-        span = self.stage_span
-        for code in self.codes.tolist():
-            marking_index, remainder = divmod(code, span)
-            pairs = tuple(
-                (
-                    name,
-                    (remainder // strides[positions[name]])
-                    % capacities[positions[name]],
-                )
-                for name in enabled[marking_index]
-            )
-            states.append((marking_index, pairs))
-        return states
-
-    def _enabled_general_names(self) -> List[Tuple[str, ...]]:
-        """Sorted general-activity names enabled per tangible marking."""
-        by_marking: List[List[str]] = [[] for _ in range(len(self.space))]
-        for transition in self.space.general:
-            if transition.activity not in by_marking[transition.source]:
-                by_marking[transition.source].append(transition.activity)
-        return [tuple(sorted(names)) for names in by_marking]
-
 
 def assemble(
     space: StateSpace,
@@ -405,11 +381,12 @@ def assemble(
 ) -> AssembledChain:
     """Unfold ``space`` into an array-native, re-ratable chain.
 
-    Runs the same BFS as :func:`repro.san.phase_type.unfold` but over
-    integer state codes, and factors every transition rate into
-    ``rate_vector[slot] * weight`` so the chain can be re-rated without
-    regeneration.  ``stages`` is the Erlang stage count used for
-    Deterministic activities (explicit Erlangs keep their own shape).
+    Runs the stage-augmented BFS over integer state codes (FIFO
+    frontier, so states are numbered in discovery order), and factors
+    every transition rate into ``rate_vector[slot] * weight`` so the
+    chain can be re-rated without regeneration.  ``stages`` is the
+    Erlang stage count used for Deterministic activities (explicit
+    Erlangs keep their own shape).
 
     With ``lump=True`` the chain's declared exchangeable groups are
     verified by partition refinement and the exact quotient is attached
@@ -461,7 +438,7 @@ def assemble(
     ]
 
     # Rate slots, in deterministic first-use order (markovian
-    # transitions first, then general -- matching unfold's emit order).
+    # transitions first, then general -- the BFS emit order).
     slot_index: Dict[Tuple[int, str], int] = {}
     slots: List[RateSlot] = []
 
@@ -498,8 +475,8 @@ def assemble(
             spec_stages[(transition.source, transition.activity)],
         )
 
-    # Integer-coded BFS.  States are processed in discovery order, which
-    # reproduces unfold's FIFO frontier exactly.
+    # Integer-coded BFS.  States are processed in discovery order (a
+    # FIFO frontier).
     code_index: Dict[int, int] = {}
     codes: List[int] = []
 

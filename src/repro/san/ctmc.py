@@ -637,13 +637,16 @@ class CTMC:
     ) -> np.ndarray:
         """State distribution at ``time`` by uniformisation.
 
-        An explicit ``initial`` vector is validated up front (length,
-        finiteness, non-negativity, normalisation) -- a malformed one
-        raises :class:`ModelError` instead of failing deep inside the
-        matrix products or silently broadcasting.
+        ``time`` must be finite and non-negative: ``inf`` would never
+        finish the horizon-splitting loop and ``nan`` would skip it,
+        so both raise :class:`ModelError`.  An explicit ``initial``
+        vector is validated up front (length, finiteness,
+        non-negativity, normalisation) -- a malformed one raises
+        :class:`ModelError` instead of failing deep inside the matrix
+        products or silently broadcasting.
         """
-        if time < 0:
-            raise ModelError(f"time must be >= 0, got {time}")
+        if not (math.isfinite(time) and time >= 0):
+            raise ModelError(f"time must be finite and >= 0, got {time}")
         if initial is None:
             p = self.initial_vector()
         else:
@@ -762,8 +765,9 @@ def from_state_space(
     """Build a CTMC from an all-exponential :class:`StateSpace`.
 
     Raises :class:`ModelError` if the state space contains general
-    (non-exponential) transitions; unfold those first with
-    :func:`repro.san.phase_type.unfold`.
+    (non-exponential) transitions; expand those into Erlang stages
+    first with :func:`repro.san.assembled.assemble` and
+    :meth:`~repro.san.assembled.AssembledChain.rerate`.
     """
     if not space.is_markovian:
         names = sorted({t.activity for t in space.general})

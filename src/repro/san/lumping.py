@@ -210,10 +210,9 @@ class LumpedStateSpace(StateSpace):
 
     Drop-in :class:`~repro.san.reachability.StateSpace`: the markings
     are the representatives and the transitions carry orbit-aggregated
-    probabilities, so :func:`~repro.san.assembled.assemble`,
-    :func:`~repro.san.phase_type.unfold` and the solvers work
-    unchanged.  ``class_sizes[i]`` is the orbit size of marking ``i``
-    (how many full-space markings it stands for).
+    probabilities, so :func:`~repro.san.assembled.assemble` and the
+    solvers work unchanged.  ``class_sizes[i]`` is the orbit size of
+    marking ``i`` (how many full-space markings it stands for).
     """
 
     def __init__(self, *args, class_sizes: List[int], **kwargs):

@@ -14,7 +14,7 @@ The result is a :class:`StateSpace` whose transitions are split into
 * ``general`` -- completions of non-exponential activities
   (deterministic, Erlang, ...), stored with their distribution and the
   probability-weighted target list, for consumption by the phase-type
-  unfolding (:mod:`repro.san.phase_type`) or the simulator.
+  unfolding (:mod:`repro.san.assembled`) or the simulator.
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ from typing import Callable, Dict, Mapping
 import numpy as np
 
 from repro.san.marking import Marking, MarkingView
-from repro.san.phase_type import UnfoldedChain
 from repro.san.reachability import StateSpace
 
 __all__ = [
@@ -38,14 +37,6 @@ def steady_state_marking_distribution(
     for marking, probability in zip(space.markings, values):
         result[marking] = result.get(marking, 0.0) + probability
     return result
-
-
-def unfolded_marking_distribution(chain: UnfoldedChain) -> Dict[Marking, float]:
-    """Stationary marking distribution of a phase-type-unfolded model."""
-    by_index = chain.steady_state_markings()
-    return {
-        chain.space.markings[idx]: prob for idx, prob in by_index.items()
-    }
 
 
 def expected_reward(

@@ -9,7 +9,7 @@ It serves two purposes:
   (the ablation benchmark compares both on the capacity model), and
 * solving models whose state space is too large to enumerate.
 
-Timing semantics (matching :mod:`repro.san.phase_type`):
+Timing semantics (matching :mod:`repro.san.assembled`):
 
 * enabled timed activities race;
 * an activity that stays enabled across another completion keeps its

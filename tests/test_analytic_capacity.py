@@ -342,3 +342,62 @@ class TestDeploymentPolicyVariants:
         for config in configs:
             capacity_distribution(config, stages=2)
         assert len(_DISTRIBUTION_CACHE.keys()) == len(configs)
+
+
+class TestStructureFallback:
+    """The counted path's structure fallback: a re-rate rejected by
+    topology validation is solved on a fresh, uncached assembly of the
+    point's own model, and the cached topology is left as it was."""
+
+    def test_rejected_rerate_solves_fresh_and_spares_the_cache(
+        self, monkeypatch
+    ):
+        from repro.analytic.capacity import (
+            _ASSEMBLE_CACHE,
+            capacity_topology_key,
+        )
+        from repro.errors import ModelError
+
+        clear_capacity_caches(reset_stats=True)
+        seed = CapacityModelConfig(failure_rate_per_hour=2e-5)
+        target = CapacityModelConfig(failure_rate_per_hour=7e-5)
+        after = CapacityModelConfig(failure_rate_per_hour=4e-5)
+        with capacity_caches_disabled():
+            cold_target = capacity_distribution(target, stages=8)
+            cold_after = capacity_distribution(after, stages=8)
+
+        capacity_distribution(seed, stages=8)
+        key = capacity_topology_key(seed, 8)
+        entry = _ASSEMBLE_CACHE.peek(key)[1]
+        warm_start = entry.warm_start
+        assert warm_start is not None
+
+        def reject(*args, **kwargs):
+            raise ModelError("forced topology mismatch")
+
+        monkeypatch.setattr(entry.chain, "rerate", reject)
+        fallbacks = capacity_solver_stats()["structure_fallbacks"]
+        builds = capacity_cache_stats()["assemble"].misses
+        fallback = capacity_distribution(target, stages=8)
+        monkeypatch.undo()
+
+        assert capacity_solver_stats()["structure_fallbacks"] == fallbacks + 1
+        # The fresh assembly is not cached ...
+        assert capacity_cache_stats()["assemble"].misses == builds
+        assert fallback.keys() == cold_target.keys()
+        for k in fallback:
+            assert abs(fallback[k] - cold_target[k]) <= 1e-12
+        # ... and the cached entry is neither replaced nor given the
+        # fallback point's warm start.
+        assert _ASSEMBLE_CACHE.peek(key)[1] is entry
+        assert entry.warm_start is warm_start
+
+        # The next point re-rates the cached entry, warm-started from
+        # the seed point, and still matches a cold solve.
+        warm_started = capacity_solver_stats()["warm_started"]
+        rerated = capacity_distribution(after, stages=8)
+        assert capacity_solver_stats()["warm_started"] == warm_started + 1
+        assert capacity_solver_stats()["structure_fallbacks"] == fallbacks + 1
+        assert rerated.keys() == cold_after.keys()
+        for k in rerated:
+            assert abs(rerated[k] - cold_after[k]) <= 1e-12

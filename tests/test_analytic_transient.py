@@ -1,6 +1,8 @@
 """Tests for the transient capacity analysis extension
 (``capacity_transient``)."""
 
+import math
+
 import pytest
 
 from repro.analytic.capacity import (
@@ -8,6 +10,7 @@ from repro.analytic.capacity import (
     capacity_distribution,
     capacity_transient,
 )
+from repro.errors import ModelError
 
 
 @pytest.fixture(scope="module")
@@ -85,3 +88,18 @@ class TestIncrementalEvaluation:
         assert list(shuffled) == [6000.0, 1000.0, 0.0]
         for t, distribution in ordered.items():
             assert shuffled[t] == distribution
+
+
+class TestNonFiniteTimes:
+    """Regression: ``t = inf`` hung the uniformisation loop and
+    ``t = nan`` returned the t=0 distribution; both now fail loudly in
+    either evaluation order."""
+
+    @pytest.mark.parametrize("incremental", [True, False])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejected(self, bad, incremental):
+        config = CapacityModelConfig(failure_rate_per_hour=1e-4)
+        with pytest.raises(ModelError, match="finite"):
+            capacity_transient(
+                config, [1000.0, bad], stages=8, incremental=incremental
+            )

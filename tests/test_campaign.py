@@ -480,7 +480,7 @@ class TestSweepRunnerIntegration:
         assert mine["solver_stats"] == theirs["solver_stats"]
         assert mine["vector_stats"] == theirs["vector_stats"]
         assert mine["vector_stats"]["fallback_fraction"] == 1.0
-        for name in ("capacity-distribution", "capacity-unfold", "capacity-assemble"):
+        for name in ("capacity-distribution", "capacity-assemble"):
             for kind in ("hits", "misses", "evictions"):
                 assert (
                     mine["cache_stats"][name][kind]

@@ -125,11 +125,7 @@ class TestCacheRegistryDiagnostics:
         # experiment metadata snapshots.
         capacity_distribution(CapacityModelConfig())
         stats = cache_stats()
-        for name in (
-            "capacity-distribution",
-            "capacity-unfold",
-            "capacity-assemble",
-        ):
+        for name in ("capacity-distribution", "capacity-assemble"):
             assert name in stats
             assert 0.0 <= stats[name].hit_rate <= 1.0
         # The distribution cache definitely observed this lookup (the

@@ -1,6 +1,6 @@
 """Tests for repro.san.assembled (the topology/rate split): assembled
-chains must reproduce the classic unfolding exactly, re-rate to the
-same answers as a fresh rebuild, and reject topology changes."""
+chains must code their states injectively, re-rate to the same answers
+as a fresh assembly, and reject topology changes."""
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from repro.san import (
     TimedActivity,
     assemble,
     generate,
-    unfold,
 )
 
 
@@ -37,65 +36,32 @@ def capacity_space(lam=5e-5):
     return generate(build_capacity_san(config))
 
 
-class TestEquivalenceWithUnfold:
-    """assemble + rerate must be the classic unfold, transition for
-    transition."""
-
-    def test_same_states_in_same_order(self):
-        space = capacity_space()
-        assembled = assemble(space, stages=8)
-        chain = unfold(space, stages=8)
-        assert assembled.decode_states() == chain.states
-
-    def test_same_generator_matrix(self):
-        space = capacity_space()
-        assembled = assemble(space, stages=8)
-        rerated = assembled.rerate(space.model)
-        rebuilt = unfold(space, stages=8).ctmc
-        assert rerated.num_states == rebuilt.num_states
-        difference = (rerated.generator != rebuilt.generator).nnz
-        assert difference == 0  # bit-identical, not just close
-
-    def test_same_steady_state_markings(self):
-        space = generate(on_off_model())
-        assembled = assemble(space, stages=12)
-        pi = assembled.rerate(space.model).steady_state()
-        marginals = assembled.marking_marginals(pi)
-        classic = unfold(space, stages=12).steady_state_markings()
-        for marking_index, probability in classic.items():
-            assert marginals[marking_index] == pytest.approx(
-                probability, abs=1e-12
-            )
-
+class TestStateCodes:
     def test_integer_codes_decode_faithfully(self):
-        """encode -> decode round-trips every augmented state."""
+        """Every augmented state has its own code, and the code's
+        leading digit is the state's tangible marking."""
         space = capacity_space()
         assembled = assemble(space, stages=6)
-        states = assembled.decode_states()
-        assert len(states) == assembled.num_states
-        assert len(set(states)) == len(states)  # codes are injective
-        span = assembled.stage_span
-        for code, (marking_index, stage_pairs) in zip(
-            assembled.codes.tolist(), states
-        ):
-            assert code // span == marking_index
-            rebuilt = marking_index * span
-            for name, stage in stage_pairs:
-                position = assembled.general_names.index(name)
-                rebuilt += stage * assembled.stage_strides[position]
-            assert rebuilt == code
+        codes = assembled.codes
+        assert codes.shape == (assembled.num_states,)
+        assert len(np.unique(codes)) == len(codes)  # codes are injective
+        np.testing.assert_array_equal(
+            codes // assembled.stage_span, assembled.marking_of_state
+        )
 
 
 class TestRerate:
     def test_rerate_matches_fresh_rebuild_at_new_rates(self):
         """Assemble once at one lambda, re-rate across a sweep: every
-        point must match a from-scratch unfolding to 1e-12."""
+        point must match a from-scratch assembly to 1e-12."""
         space = capacity_space(lam=2e-5)
         assembled = assemble(space, stages=8)
         for lam in (4e-5, 7e-5, 9.6e-5):
             fresh_space = capacity_space(lam=lam)
             rerated = assembled.rerate(fresh_space.model)
-            rebuilt = unfold(fresh_space, stages=8).ctmc
+            rebuilt = assemble(fresh_space, stages=8).rerate(
+                fresh_space.model
+            )
             pi_rerated = rerated.steady_state()
             pi_rebuilt = rebuilt.steady_state()
             marginals = assembled.marking_marginals(pi_rerated)
@@ -261,8 +227,8 @@ class TestTopologyValidation:
         assert pi[up_index] == pytest.approx(2.0 / 5.0, abs=1e-9)
 
     def test_validate_false_skips_structure_checks(self):
-        """validate=False is the fast path used when the model is known
-        identical (unfold's own call)."""
+        """validate=False is the fast path for a model known to be
+        topology-identical (e.g. the one the chain was assembled from)."""
         space = generate(on_off_model())
         assembled = assemble(space, stages=4)
         vector = assembled.rate_vector(space.model, validate=False)

@@ -98,6 +98,16 @@ class TestTransient:
         with pytest.raises(ModelError):
             chain.transient(-1.0)
 
+    @pytest.mark.parametrize("time", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_time(self, time):
+        """Regression: ``inf`` never left the horizon-splitting loop
+        and ``nan`` skipped it, returning the t=0 distribution."""
+        chain = CTMC(2, [(0, 1, 1.0), (1, 0, 2.0)])
+        with pytest.raises(ModelError, match="finite"):
+            chain.transient(time)
+        with pytest.raises(ModelError, match="finite"):
+            chain.transient(np.float64(time), initial=np.array([0.5, 0.5]))
+
 
 class TestEdgeCases:
     def test_two_recurrent_classes_rejected_by_residual_check(self):

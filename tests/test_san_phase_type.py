@@ -1,5 +1,6 @@
-"""Tests for repro.san.phase_type (Erlang unfolding of deterministic
-activities) against renewal-theory closed forms."""
+"""Tests for the Erlang unfolding of deterministic activities
+(repro.san.assembled: ``assemble`` + ``rerate`` + ``marking_marginals``)
+against renewal-theory closed forms."""
 
 import math
 
@@ -13,9 +14,17 @@ from repro.san import (
     Place,
     SANModel,
     TimedActivity,
+    assemble,
     generate,
-    unfold,
 )
+
+
+def steady_state_markings(space, *, stages):
+    """Stationary probability of each tangible marking of ``space``
+    (stage counters marginalised out), by the array-native unfolding."""
+    chain = assemble(space, stages=stages)
+    pi = chain.rerate(space.model).steady_state()
+    return chain.marking_marginals(pi)
 
 
 def on_off_model(up_rate=0.5, repair_time=2.0):
@@ -39,8 +48,7 @@ class TestOnOffAvailability:
         space = generate(on_off_model(lam, d))
         errors = []
         for stages in (2, 8, 32):
-            chain = unfold(space, stages=stages)
-            probs = chain.steady_state_markings()
+            probs = steady_state_markings(space, stages=stages)
             up_index = space.index[(1,)]
             errors.append(abs(probs[up_index] - expected_up))
         # Mean-matched Erlang gives the exact alternating-renewal
@@ -50,9 +58,8 @@ class TestOnOffAvailability:
 
     def test_probabilities_sum_to_one(self):
         space = generate(on_off_model())
-        chain = unfold(space, stages=8)
-        probs = chain.steady_state_markings()
-        assert sum(probs.values()) == pytest.approx(1.0)
+        probs = steady_state_markings(space, stages=8)
+        assert probs.sum() == pytest.approx(1.0)
 
 
 class TestErlangActivities:
@@ -66,16 +73,16 @@ class TestErlangActivities:
         )
         model = SANModel([Place("up", 1)], [fail, repair])
         space = generate(model)
-        chain = unfold(space, stages=99)  # stages ignored for Erlang
+        # stages ignored for Erlang
+        probs = steady_state_markings(space, stages=99)
         # up: mean 1; down: mean 2 -> availability 1/3.
-        probs = chain.steady_state_markings()
         assert probs[space.index[(1,)]] == pytest.approx(1.0 / 3.0, abs=1e-9)
 
     def test_stage_count_controls_state_space(self):
         space = generate(on_off_model())
-        small = unfold(space, stages=2)
-        large = unfold(space, stages=16)
-        assert len(large.states) > len(small.states)
+        small = assemble(space, stages=2)
+        large = assemble(space, stages=16)
+        assert large.num_states > small.num_states
 
 
 class TestMD1Queue:
@@ -99,10 +106,9 @@ class TestMD1Queue:
             "serve", Deterministic(d), input_arcs={"queue": 1}
         )
         space = generate(SANModel([Place("queue", 0)], [arrive, serve]))
-        chain = unfold(space, stages=40)
-        probs = chain.steady_state_markings()
+        probs = steady_state_markings(space, stages=40)
         mean_queue = sum(
-            space.markings[idx][0] * p for idx, p in probs.items()
+            marking[0] * p for marking, p in zip(space.markings, probs)
         )
         # The serve timer restarts per customer (input arc holds the
         # token), matching M/D/1 service semantics.
@@ -113,13 +119,13 @@ class TestValidation:
     def test_exponential_only_model_passes_through(self):
         fail = TimedActivity.exponential("fail", 1.0, input_arcs={"up": 1})
         space = generate(SANModel([Place("up", 1)], [fail]))
-        chain = unfold(space, stages=4)
-        assert len(chain.states) == len(space)
+        chain = assemble(space, stages=4)
+        assert chain.num_states == len(space)
 
     def test_rejects_bad_stage_count(self):
         space = generate(on_off_model())
         with pytest.raises(ModelError):
-            unfold(space, stages=0)
+            assemble(space, stages=0)
 
     def test_rejects_unsupported_distribution(self):
         from repro.analytic.distributions import Uniform
@@ -127,4 +133,4 @@ class TestValidation:
         odd = TimedActivity("odd", Uniform(0.0, 1.0), input_arcs={"p": 1})
         space = generate(SANModel([Place("p", 1)], [odd]))
         with pytest.raises(ModelError):
-            unfold(space, stages=4)
+            assemble(space, stages=4)
