@@ -126,7 +126,6 @@ def _cell_template(geometry, plan, scheme, variant, params, capacity):
         variant=variant,
         crosslink_loss_probability=plan.crosslink_loss,
         link_loss_fn=build_link_loss_fn(plan),
-        lazy_events=False,
         record_log=False,
     )
     _TEMPLATE_SLOT = (key, template)
@@ -150,8 +149,10 @@ def _evaluate_batch(point: Mapping[str, object]) -> Dict[str, object]:
     the protocol draws -- the same two-generator protocol the legacy
     per-run construction used, so campaign results (including the
     golden pins) are byte-identical, just without rebuilding the
-    scenario infrastructure per run.  Strict (non-lazy) event
-    scheduling keeps the event order key-for-key identical as well.
+    scenario infrastructure per run.  The template schedules only the
+    events a run can consume; the skipped ones are no-ops in the legacy
+    scenario, so every outcome is unchanged
+    (``tests/test_simulation_batch.py`` pins this per fault plan).
 
     ``engine="vector"`` routes *fault-free* cells through the
     struct-of-arrays engine of :mod:`repro.simulation.vector` instead:

@@ -29,7 +29,7 @@ class Signal:
     duration: float
 
     def __post_init__(self) -> None:
-        if self.duration < 0:
+        if not self.duration >= 0:  # also rejects NaN
             raise ConfigurationError(f"duration must be >= 0, got {self.duration}")
 
     @property

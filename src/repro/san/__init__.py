@@ -12,19 +12,15 @@ probabilities ``P(k)``:
 * :mod:`repro.san.assembled` -- Erlang unfolding of deterministic
   activities (UltraSAN supported these natively) into array-native
   chains that re-rate without regeneration (the topology/rate split);
-* :mod:`repro.san.lumping` -- exact symmetry lumping: canonical-orbit
-  reachability and refinement-verified quotient chains;
+* :mod:`repro.san.lumping` -- exact symmetry lumping: reachability
+  over canonical orbit representatives, verified against the declared
+  exchangeable groups at every representative;
 * :mod:`repro.san.simulator` -- discrete-event execution with exact
   deterministic timers, for cross-checking and large models;
 * :mod:`repro.san.reward` -- UltraSAN-style rate rewards.
 """
 
 from repro.san.assembled import AssembledChain, RateSlot, assemble
-from repro.san.compose import (
-    ReplicatedChain,
-    lumped_state_count,
-    replicate_lumped,
-)
 from repro.san.ctmc import (
     CTMC,
     SteadyStateSolution,
@@ -33,10 +29,8 @@ from repro.san.ctmc import (
     marking_probabilities,
 )
 from repro.san.lumping import (
-    LumpedChain,
     LumpedStateSpace,
     canonical_marking,
-    lump_assembled,
     lumped_state_space,
     orbit_size,
 )
@@ -70,7 +64,6 @@ __all__ = [
     "GeneralTransition",
     "InputGate",
     "InstantaneousActivity",
-    "LumpedChain",
     "LumpedStateSpace",
     "Marking",
     "MarkingView",
@@ -79,7 +72,6 @@ __all__ = [
     "Place",
     "PlaceIndex",
     "RateSlot",
-    "ReplicatedChain",
     "RewardEstimate",
     "SANModel",
     "SANSimulator",
@@ -93,12 +85,9 @@ __all__ = [
     "expected_reward",
     "from_state_space",
     "generate",
-    "lump_assembled",
-    "lumped_state_count",
     "lumped_state_space",
     "marking_probabilities",
     "orbit_size",
     "probability_of",
-    "replicate_lumped",
     "steady_state_marking_distribution",
 ]

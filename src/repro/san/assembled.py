@@ -197,9 +197,6 @@ class AssembledChain:
         self.slots = slots
         self.initial_distribution = initial_distribution
         self._enabled_timed_names = enabled_timed_names
-        #: Verified quotient (:class:`repro.san.lumping.LumpedChain`)
-        #: when assembled with ``lump=True``; ``None`` otherwise.
-        self.lumped = None
 
     # ------------------------------------------------------------------
     # Shape
@@ -377,7 +374,6 @@ def assemble(
     *,
     stages: int = 24,
     max_states: int = 2_000_000,
-    lump: bool = False,
 ) -> AssembledChain:
     """Unfold ``space`` into an array-native, re-ratable chain.
 
@@ -387,13 +383,6 @@ def assemble(
     chain can be re-rated without regeneration.  ``stages`` is the
     Erlang stage count used for Deterministic activities (explicit
     Erlangs keep their own shape).
-
-    With ``lump=True`` the chain's declared exchangeable groups are
-    verified by partition refinement and the exact quotient is attached
-    as ``chain.lumped`` (:func:`repro.san.lumping.lump_assembled`);
-    quotient re-rates then solve at block count instead of state count.
-    A :class:`~repro.errors.ModelError` propagates when the model
-    declares no groups or the declaration is not lumpable.
     """
     if stages < 1:
         raise ModelError(f"stages must be >= 1, got {stages}")
@@ -571,7 +560,7 @@ def assemble(
         tuple(sorted(a.name for a in model.enabled_timed(marking)))
         for marking in space.markings
     )
-    chain = AssembledChain(
+    return AssembledChain(
         space=space,
         stages=stages,
         general_names=general_names,
@@ -588,8 +577,3 @@ def assemble(
         initial_distribution=tuple(initial_distribution),
         enabled_timed_names=enabled_timed_names,
     )
-    if lump:
-        from repro.san.lumping import lump_assembled
-
-        chain.lumped = lump_assembled(chain)
-    return chain

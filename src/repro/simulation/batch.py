@@ -20,19 +20,13 @@ replication preserves the legacy scenario's draw order, so the same
 seed produces the *same outcome* as ``CenterlineScenario`` -- the
 template is a faster execution engine, not a different model.
 
-Two event-scheduling modes:
-
-* ``lazy_events=True`` (default): footprint arrivals are scheduled only
-  for the detector and for satellites actually invited into the
-  coordination chain (via the satellite's ``on_invited`` hook), and
-  double-coverage onsets are chained one at a time, stopping once the
-  alert is out or the signal has died.  Un-invited arrivals and
-  post-alert onsets are no-ops in the legacy scenario, so outcomes are
-  unchanged; only the no-op event traffic disappears.
-* ``lazy_events=False`` (strict): every event the legacy scenario would
-  schedule is scheduled up front, in the same order, giving the same
-  ``(time, priority, seq)`` keys event for event.  The fault-injection
-  campaign uses this mode so its golden results stay byte-identical.
+Events are scheduled lazily: footprint arrivals are scheduled only for
+the detector and for satellites actually invited into the coordination
+chain (via the satellite's ``on_invited`` hook), and double-coverage
+onsets are chained one at a time, stopping once the alert is out or the
+signal has died.  Un-invited arrivals and post-alert onsets are no-ops
+in the legacy scenario, so outcomes are unchanged; only the no-op event
+traffic disappears.
 
 Per-stage wall-clock accumulators (``template`` / ``replicate`` /
 ``run``) mirror the capacity solver's stage timings and are reported as
@@ -198,10 +192,6 @@ class ScenarioTemplate:
     crosslink_loss_probability / link_loss_fn:
         Per-message loss configuration, shared by every replication
         (the fault campaign builds one template per plan cell).
-    lazy_events:
-        Schedule only events that can affect the outcome (see module
-        docstring).  ``False`` reproduces the legacy event schedule
-        key-for-key.
     record_log:
         Keep per-message :class:`MessageRecord` entries.  Off by
         default -- the batched estimators never read the log.
@@ -219,7 +209,6 @@ class ScenarioTemplate:
         satellite_count: Optional[int] = None,
         crosslink_loss_probability: float = 0.0,
         link_loss_fn: Optional[LossFn] = None,
-        lazy_events: bool = True,
         record_log: bool = False,
     ):
         with obs.timed("batch.template"):
@@ -228,7 +217,6 @@ class ScenarioTemplate:
             self.scheme = scheme
             self.variant = variant
             self.cycle = FootprintCycle(geometry)
-            self.lazy_events = lazy_events
             if satellite_count is None:
                 satellite_count = 3 + int(
                     math.ceil(
@@ -279,8 +267,7 @@ class ScenarioTemplate:
                     next_peer=self._dispatch_next_peer,
                     ground_name=self.ground.name,
                 )
-                if lazy_events:
-                    satellite.on_invited = self._on_invited
+                satellite.on_invited = self._on_invited
                 self.satellites[name] = satellite
 
             # Coverage-interval bases: satellite j covers
@@ -413,10 +400,13 @@ class ScenarioTemplate:
                 "onsets and durations must be 1-D arrays of equal length"
             )
         l1 = self.geometry.l1
-        if np.any((onsets < 0.0) | (onsets > l1 + 1e-12)):
+        # Written as "not all inside" so NaN fails both checks.
+        if not np.all((onsets >= 0.0) & (onsets <= l1 + 1e-12)):
             raise ConfigurationError(
                 f"onset positions must be in [0, L1={l1})"
             )
+        if not np.all(durations >= 0.0):
+            raise ConfigurationError("signal durations must be >= 0")
         # Wrap the half-open cycle boundary, as normalise_onset_position
         # does for scalars.
         onsets = np.where(onsets >= l1, 0.0, onsets)
@@ -487,12 +477,10 @@ class ScenarioTemplate:
         self, onset_position: float
     ) -> Optional[float]:
         geometry = self.geometry
-        signal = self._signal
-        duration = signal.duration
+        duration = self._signal.duration
         simulator = self.simulator
         coverage_time = geometry.coverage_time
         overlapping = geometry.overlapping
-        lazy = self.lazy_events
 
         detection_time: Optional[float] = None
         detector: Optional[str] = None
@@ -515,12 +503,11 @@ class ScenarioTemplate:
                     and arrival == 0.0
                     and onset_position >= self._beta_start
                 )
-            if lazy:
-                arrivals[name] = arrival
-                if not is_detector:
-                    # Un-invited arrivals are no-ops; schedule on
-                    # invitation instead (satellite.on_invited hook).
-                    continue
+            arrivals[name] = arrival
+            if not is_detector:
+                # Un-invited arrivals are no-ops; schedule on
+                # invitation instead (satellite.on_invited hook).
+                continue
             simulator.at(
                 arrival,
                 self._arrival,
@@ -534,20 +521,12 @@ class ScenarioTemplate:
             beta_offset = geometry.single_coverage_length - onset_position
             first = beta_offset if beta_offset > 0 else beta_offset + geometry.l1
             dc_horizon = self.params.tau + geometry.l1
-            if lazy:
-                # Chained scheduling: only the next onset is queued, and
-                # the chain stops once it can no longer change the
-                # outcome (alert sent, signal dead, or horizon passed).
-                # For non-OAQ schemes every onset is a no-op, so none
-                # are scheduled at all.
-                if self.scheme is Scheme.OAQ and first <= dc_horizon:
-                    simulator.at(first, self._dc_onset, first, dc_horizon)
-            else:
-                t = first
-                on_coverage = self.satellites[detector].on_simultaneous_coverage
-                while t <= dc_horizon:
-                    simulator.at(t, on_coverage, signal)
-                    t += geometry.l1
+            # Chained scheduling: only the next onset is queued, and the
+            # chain stops once it can no longer change the outcome
+            # (alert sent, signal dead, or horizon passed).  For non-OAQ
+            # schemes every onset is a no-op, so none are scheduled.
+            if self.scheme is Scheme.OAQ and first <= dc_horizon:
+                simulator.at(first, self._dc_onset, first, dc_horizon)
         return detection_time
 
     def _arrival(
@@ -560,7 +539,7 @@ class ScenarioTemplate:
         )
 
     def _on_invited(self, name: str) -> None:
-        """Lazy-mode hook: a coordination request reached ``name``, so
+        """Invitation hook: a coordination request reached ``name``, so
         its footprint arrival now matters -- schedule it (unless the
         pass already went by, which the legacy scenario treats as a
         silent miss)."""
@@ -572,7 +551,7 @@ class ScenarioTemplate:
         )
 
     def _dc_onset(self, at_time: float, dc_horizon: float) -> None:
-        """Lazy-mode chained double-coverage onset."""
+        """Chained double-coverage onset."""
         detector = self.satellites[self._detector_name]
         detector.on_simultaneous_coverage(self._signal)
         t_next = at_time + self.geometry.l1

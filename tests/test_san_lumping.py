@@ -1,15 +1,15 @@
 """Tests for repro.san.lumping (exact symmetry lumping).
 
-The two layers -- canonical-representative reachability
-(``lumped_state_space``) and partition-refinement quotients of
-assembled chains (``lump_assembled``) -- are cross-validated against
-full-space solves on small symmetric models, and the capacity
+Canonical-representative reachability (``lumped_state_space``) is
+checked against full-space solves on small symmetric models and against
+closed-form laws of exchangeable i.i.d. components, and the capacity
 integration is pinned against the counted paper model and the fig7
 goldens.
 """
 
 import gc
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -28,8 +28,8 @@ from repro.analytic.distributions import Deterministic
 from repro.errors import ModelError
 from repro.san import (
     Case,
+    CTMC,
     InputGate,
-    LumpedChain,
     LumpedStateSpace,
     OutputGate,
     Place,
@@ -38,7 +38,6 @@ from repro.san import (
     assemble,
     canonical_marking,
     generate,
-    lump_assembled,
     lumped_state_space,
     orbit_size,
 )
@@ -250,6 +249,82 @@ class TestLumpedStateSpace:
         for k in full_pk:
             assert quotient_pk[k] == pytest.approx(full_pk[k], abs=1e-12)
 
+    @staticmethod
+    def chains(model, stages=4):
+        """The full and the quotient assembled chains of ``model``."""
+        full = assemble(generate(model), stages=stages)
+        return full, assemble(lumped_state_space(model), stages=stages)
+
+    @staticmethod
+    def expand(full_space, quotient_space, quotient_marginals):
+        """Full-space marking probabilities from quotient ones: exact
+        lumpability spreads each orbit's mass evenly over its members."""
+        model = quotient_space.model
+        position = {m: i for i, m in enumerate(quotient_space.markings)}
+        return np.array(
+            [
+                quotient_marginals[i] / quotient_space.class_sizes[i]
+                for i in (
+                    position[canonical_marking(model, m)]
+                    for m in full_space.markings
+                )
+            ]
+        )
+
+    def test_steady_state_expands_exactly(self):
+        model = plane_model(det_reset=True)
+        full, quotient = self.chains(model)
+        pi_full = full.marking_marginals(
+            full.rerate(model).steady_state_solve().pi
+        )
+        pi_quotient = quotient.marking_marginals(
+            quotient.rerate(model).steady_state_solve().pi
+        )
+        expanded = self.expand(full.space, quotient.space, pi_quotient)
+        assert np.max(np.abs(expanded - pi_full)) <= 1e-12
+
+    def test_transient_agrees_through_quotient(self):
+        model = plane_model(det_reset=True)
+        full, quotient = self.chains(model)
+        full_ctmc, quotient_ctmc = full.rerate(model), quotient.rerate(model)
+        for t in (0.0, 3.0, 25.0):
+            expanded = self.expand(
+                full.space,
+                quotient.space,
+                quotient.marking_marginals(quotient_ctmc.transient(t)),
+            )
+            p_full = full.marking_marginals(full_ctmc.transient(t))
+            assert np.max(np.abs(expanded - p_full)) <= 1e-10
+
+    def test_rerate_survives_symmetric_rate_change(self):
+        _, quotient = self.chains(plane_model(det_reset=True))
+        hotter = plane_model(det_reset=True, fail_rates=[0.09] * 3)
+        full = assemble(generate(hotter), stages=4)
+        pi_full = full.marking_marginals(
+            full.rerate(hotter).steady_state_solve().pi
+        )
+        pi_quotient = quotient.marking_marginals(
+            quotient.rerate(hotter).steady_state_solve().pi
+        )
+        expanded = self.expand(full.space, quotient.space, pi_quotient)
+        assert np.max(np.abs(expanded - pi_full)) <= 1e-12
+
+    def test_coincidentally_equal_rates_rerate_apart(self):
+        """A quotient built where the repair rate equals the failure
+        rate re-rates in place to a point where they differ."""
+        collided = plane_model(fail_rates=[0.02] * 3, repair=0.02)
+        _, quotient = self.chains(collided)
+        diverged = plane_model(fail_rates=[0.02] * 3, repair=0.9)
+        full = assemble(generate(diverged), stages=4)
+        pi_full = full.marking_marginals(
+            full.rerate(diverged).steady_state_solve().pi
+        )
+        pi_quotient = quotient.marking_marginals(
+            quotient.rerate(diverged).steady_state_solve().pi
+        )
+        expanded = self.expand(full.space, quotient.space, pi_quotient)
+        assert np.max(np.abs(expanded - pi_full)) <= 1e-12
+
     def test_asymmetric_rates_fail_verification(self):
         model = plane_model(n=3, fail_rates=[0.02, 0.02, 0.05])
         with pytest.raises(ModelError, match="not a symmetry"):
@@ -260,6 +335,22 @@ class TestLumpedStateSpace:
         with pytest.raises(ModelError, match="initial distribution"):
             lumped_state_space(model)
 
+    def test_deterministic_timer_model_reduces_and_describes(self):
+        model = plane_model(det_reset=True)
+        space = lumped_state_space(model)
+        full = generate(plane_model(det_reset=True))
+        assert len(space) < space.full_state_count == len(full)
+        assert len(space.general) > 0
+        assert "orbit representatives" in space.describe()
+        assert "general transitions" in space.describe()
+
+    def test_forced_two_satellite_asymmetry_rejected(self):
+        # The group is declared even though s2 fails faster than s1;
+        # the deterministic reset does not hide the asymmetry.
+        model = plane_model(n=2, fail_rates=[0.02, 0.05], det_reset=True)
+        with pytest.raises(ModelError, match="not a symmetry"):
+            lumped_state_space(model)
+
     def test_explosion_guard_applies_to_quotient(self):
         from repro.errors import StateSpaceExplosionError
 
@@ -268,124 +359,107 @@ class TestLumpedStateSpace:
             lumped_state_space(model, max_states=3)
 
 
-class TestLumpAssembled:
-    def make(self, stages=4, **kwargs):
-        model = plane_model(det_reset=True, **kwargs)
-        chain = assemble(generate(model), stages=stages)
-        return model, chain, lump_assembled(chain)
-
-    def test_reduction_and_describe(self):
-        _, chain, lumped = self.make()
-        assert isinstance(lumped, LumpedChain)
-        assert lumped.num_blocks < chain.num_states
-        assert lumped.num_full_states == chain.num_states
-        assert lumped.reduction > 1.0
-        assert lumped.num_slot_classes < chain.num_slots
-        assert "blocks" in lumped.describe()
-
-    def test_assemble_lump_flag_attaches_quotient(self):
-        model = plane_model(det_reset=True)
-        chain = assemble(generate(model), stages=4, lump=True)
-        assert isinstance(chain.lumped, LumpedChain)
-        assert assemble(generate(model), stages=4).lumped is None
-
-    def test_steady_state_expands_exactly(self):
-        model, chain, lumped = self.make()
-        pi_full = chain.rerate(model).steady_state_solve().pi
-        pi_quotient = lumped.rerate(model).steady_state_solve().pi
-        expanded = lumped.expand(pi_quotient)
-        assert np.max(np.abs(expanded - pi_full)) <= 1e-12
-        # aggregate is the left inverse of expand.
-        assert np.max(
-            np.abs(lumped.aggregate(expanded) - pi_quotient)
-        ) <= 1e-14
-        # And the marking marginals agree through the quotient route.
-        assert np.max(
-            np.abs(
-                lumped.marking_marginals(pi_quotient)
-                - chain.marking_marginals(pi_full)
+def component_model(n, base_transitions, num_base_states):
+    """``n`` i.i.d. copies of a small CTMC, one-hot encoded: component
+    ``i`` in base state ``b`` holds a token in place ``c{i}_{b}``.  Each
+    component is one arity-``num_base_states`` member of a single
+    exchangeable group; every copy starts in base state 0."""
+    places, activities, members = [], [], []
+    for i in range(n):
+        names = [f"c{i}_{b}" for b in range(num_base_states)]
+        places += [Place(name, int(b == 0)) for b, name in enumerate(names)]
+        members.append(tuple(names))
+        activities += [
+            TimedActivity.exponential(
+                f"t{i}_{src}_{dst}",
+                rate,
+                input_arcs={names[src]: 1},
+                cases=[Case(output_arcs={names[dst]: 1})],
             )
-        ) <= 1e-12
+            for src, dst, rate in base_transitions
+        ]
+    return SANModel(
+        places,
+        activities,
+        name=f"iid-{n}",
+        exchangeable_groups=[members],
+    )
 
-    def test_projection_and_expansion_matrices(self):
-        model, chain, lumped = self.make()
-        pi_quotient = lumped.rerate(model).steady_state_solve().pi
-        expansion = lumped.expansion_matrix()
-        projection = lumped.projection_matrix()
-        assert expansion.shape == (lumped.num_full_states, lumped.num_blocks)
-        assert np.max(
-            np.abs(expansion @ pi_quotient - lumped.expand(pi_quotient))
-        ) <= 1e-15
-        rng = np.random.default_rng(7)
-        reward = rng.uniform(0.0, 5.0, size=lumped.num_full_states)
-        projected = lumped.project_reward(reward)
-        assert np.max(np.abs(projection @ reward - projected)) <= 1e-12
-        # Reward preservation: quotient expectation == full expectation.
-        pi_full = lumped.expand(pi_quotient)
-        assert float(pi_quotient @ projected) == pytest.approx(
-            float(pi_full @ reward), abs=1e-12
-        )
 
-    def test_transient_agrees_through_quotient(self):
-        model, chain, lumped = self.make()
-        full = chain.rerate(model)
-        quotient = lumped.rerate(model)
-        for t in (0.0, 3.0, 25.0):
-            p_full = full.transient(t)
-            p_quotient = quotient.transient(t)
-            assert np.max(
-                np.abs(lumped.aggregate(p_full) - p_quotient)
-            ) <= 1e-10
+def base_state_counts(space, pi, n, state):
+    """Law of the number of components in base ``state``."""
+    law = {}
+    for marking, probability in zip(space.markings, np.asarray(pi).tolist()):
+        as_dict = space.model.marking_dict(marking)
+        count = sum(as_dict[f"c{i}_{state}"] for i in range(n))
+        law[count] = law.get(count, 0.0) + probability
+    return law
 
-    def test_rerate_survives_symmetric_rate_change(self):
-        model, _, lumped = self.make()
-        hotter = plane_model(det_reset=True, fail_rates=[0.09] * 3)
-        pi_quotient = lumped.rerate(hotter).steady_state_solve().pi
-        full_chain = assemble(generate(hotter), stages=4)
-        pi_full = full_chain.rerate(hotter).steady_state_solve().pi
-        assert np.max(np.abs(lumped.expand(pi_quotient) - pi_full)) <= 1e-12
 
-    def test_rerate_rejects_class_breaking_rates(self):
-        _, _, lumped = self.make()
-        broken = plane_model(det_reset=True, fail_rates=[0.02, 0.02, 0.09])
-        with pytest.raises(ModelError, match="breaks lumping slot class"):
-            lumped.rerate(broken)
+class TestExchangeableComponents:
+    """n i.i.d. CTMC replicas lump to multisets over the base states,
+    and the quotient reproduces the replicas' closed-form laws."""
 
-    def test_coincidentally_equal_rates_stay_in_separate_classes(self):
-        """Regression: ``lump_assembled`` keyed slot classes on the
-        bitwise rate value alone, so two unrelated activity families
-        whose rates happened to coincide at refinement time (here:
-        repair rate == failure rate) were merged into one class.  The
-        merged chain solved that one point correctly but any later
-        re-rate that diverged the rates hit the class-constancy check
-        and raised ``ModelError`` -- a sweep-point fallback for a
-        perfectly lumpable model.  The key now includes the slot's case
-        multiset, which separates the families without refining any
-        genuinely symmetric orbit."""
-        collided = plane_model(fail_rates=[0.02] * 3, repair=0.02)
-        chain = assemble(generate(collided), stages=4)
-        lumped = lump_assembled(chain)
-        # The diverged point must re-rate in place...
-        diverged = plane_model(fail_rates=[0.02] * 3, repair=0.9)
-        pi_quotient = lumped.rerate(diverged).steady_state_solve().pi
-        # ... and agree exactly with the full-chain solve.
-        full = assemble(generate(diverged), stages=4)
-        pi_full = full.rerate(diverged).steady_state_solve().pi
-        assert np.max(np.abs(lumped.expand(pi_quotient) - pi_full)) <= 1e-12
+    def solve(self, model):
+        chain = assemble(lumped_state_space(model), stages=1)
+        pi = chain.rerate(model).steady_state_solve().pi
+        return chain, chain.marking_marginals(pi)
 
-    def test_asymmetric_dynamics_refine_to_singletons(self):
-        model = plane_model(fail_rates=[0.02, 0.05], n=2)
-        # Force the declaration despite the asymmetry.
-        asymmetric = SANModel(
-            model.places,
-            model.timed_activities,
-            model.instantaneous_activities,
-            name=model.name,
-            exchangeable_groups=[["s1", "s2"]],
-        )
-        chain = assemble(generate(asymmetric), stages=2)
-        with pytest.raises(ModelError, match="not a lumpable symmetry"):
-            lump_assembled(chain)
+    def test_on_off_up_count_is_binomial(self):
+        fail, repair, n = 0.5, 2.0, 6
+        model = component_model(n, [(0, 1, fail), (1, 0, repair)], 2)
+        space = lumped_state_space(model)
+        # Representatives are the up-counts 0..n out of 2**n markings.
+        assert len(space) == n + 1
+        assert space.full_state_count == len(generate(model)) == 2**n
+        chain, marginals = self.solve(model)
+        law = base_state_counts(chain.space, marginals, n, state=0)
+        p_up = repair / (fail + repair)
+        for count in range(n + 1):
+            expected = math.comb(n, count) * p_up**count * (1 - p_up) ** (n - count)
+            assert law.get(count, 0.0) == pytest.approx(expected, abs=1e-9)
+
+    def test_three_state_counts_are_n_times_marginals(self):
+        base = [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0)]
+        n = 4
+        model = component_model(n, base, 3)
+        space = lumped_state_space(model)
+        # Multisets of size n over 3 base states: C(3 + n - 1, n).
+        assert len(space) == math.comb(6, 4) == 15
+        assert space.full_state_count == 3**n
+        chain, marginals = self.solve(model)
+        pi_base = CTMC(3, base).steady_state()
+        for state in range(3):
+            law = base_state_counts(chain.space, marginals, n, state)
+            expected_count = sum(count * p for count, p in law.items())
+            assert expected_count == pytest.approx(n * pi_base[state], abs=1e-9)
+
+    def test_representative_count_is_multiset_formula(self):
+        # n copies of an m-state base: C(m + n - 1, n) multisets.
+        for m, n, expected in ((2, 7, 8), (3, 2, 6), (5, 2, 15)):
+            cycle = [(b, (b + 1) % m, 1.0 + b) for b in range(m)]
+            space = lumped_state_space(component_model(n, cycle, m))
+            assert len(space) == math.comb(m + n - 1, n) == expected
+            assert space.full_state_count == m**n
+
+    def test_explosion_guard_on_replicated_components(self):
+        from repro.errors import StateSpaceExplosionError
+
+        # Ten copies of a 6-state cycle: C(15, 10) = 3003 representatives.
+        cycle = [(b, (b + 1) % 6, 1.0) for b in range(6)]
+        with pytest.raises(StateSpaceExplosionError):
+            lumped_state_space(component_model(10, cycle, 6), max_states=200)
+
+    def test_transient_up_count_is_n_times_base(self):
+        fail, repair, n, t = 0.7, 1.3, 5, 0.9
+        base = [(0, 1, fail), (1, 0, repair)]
+        model = component_model(n, base, 2)
+        chain = assemble(lumped_state_space(model), stages=1)
+        p_lumped = chain.marking_marginals(chain.rerate(model).transient(t))
+        law = base_state_counts(chain.space, p_lumped, n, state=0)
+        expected_up = sum(count * p for count, p in law.items())
+        p_base = CTMC(2, base).transient(t)
+        assert expected_up == pytest.approx(n * p_base[0], abs=1e-9)
 
 
 class TestCapacityLumping:

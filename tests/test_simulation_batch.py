@@ -3,9 +3,10 @@ replication engine.
 
 The load-bearing contract: for any seed, ``ScenarioTemplate(...)
 .replicate(seed).run()`` is **bit-identical** to building a fresh
-``CenterlineScenario(..., seed=seed)`` and running it, in both strict
-and lazy event-scheduling modes, across all four protocol branches
-(overlap/underlap x OAQ/BAQ).  Everything downstream (the faults
+``CenterlineScenario(..., seed=seed)`` and running it, across all four
+protocol branches (overlap/underlap x OAQ/BAQ) and every fault plan of
+the fault experiment's battery, even though the template schedules only
+the events a run can consume.  Everything downstream (the faults
 campaign golden, the protocol experiment, the batched QoS sampler's
 statistical pins) rests on that equivalence.
 """
@@ -16,8 +17,12 @@ import pytest
 from repro.core.config import EvaluationParams
 from repro.core.schemes import Scheme
 from repro.errors import ConfigurationError
+from repro.experiments.faults_exp import plan_battery
+from repro.faults.campaign import _evaluate_batch
+from repro.faults.injector import faulty_scenario
 from repro.faults.stats import wilson_interval
 from repro.protocol.runner import CenterlineScenario
+from repro.protocol.satellite import MessagingVariant
 from repro.simulation.batch import (
     ScenarioTemplate,
     batch_stage_timings,
@@ -46,19 +51,16 @@ def _outcome_key(outcome):
 class TestTemplateBitIdentity:
     @pytest.mark.parametrize("capacity", CAPACITIES)
     @pytest.mark.parametrize("scheme", [Scheme.OAQ, Scheme.BAQ])
-    @pytest.mark.parametrize("lazy", [True, False])
-    def test_replicate_matches_fresh_scenario(self, capacity, scheme, lazy):
+    def test_replicate_matches_fresh_scenario(self, capacity, scheme):
         geometry = PARAMS.constellation.plane_geometry(capacity)
-        template = ScenarioTemplate(
-            geometry, PARAMS, scheme=scheme, lazy_events=lazy
-        )
+        template = ScenarioTemplate(geometry, PARAMS, scheme=scheme)
         for seed in SEEDS:
             legacy = CenterlineScenario(
                 geometry, PARAMS, scheme=scheme, seed=seed
             ).run()
             replayed = template.replicate(seed).run()
             assert _outcome_key(replayed) == _outcome_key(legacy), (
-                f"k={capacity} {scheme.name} lazy={lazy} seed={seed}"
+                f"k={capacity} {scheme.name} seed={seed}"
             )
 
     def test_explicit_signal_overrides_draws(self):
@@ -90,6 +92,42 @@ class TestTemplateBitIdentity:
             ).run()
             replayed = template.replicate(seed, fail_silent={"S2": 0.0}).run()
             assert _outcome_key(replayed) == _outcome_key(legacy)
+
+    @pytest.mark.parametrize("capacity", CAPACITIES)
+    @pytest.mark.parametrize("scheme", [Scheme.OAQ, Scheme.BAQ])
+    def test_campaign_matches_faulty_scenario(self, capacity, scheme):
+        """Every fault plan of the fault experiment: a one-seed campaign
+        batch reports the level and detection of the reference
+        ``faulty_scenario(...).run()``."""
+        geometry = PARAMS.constellation.plane_geometry(capacity)
+        variant = MessagingVariant.DONE_PROPAGATION
+        for plan in plan_battery():
+            for seed in range(50):
+                result = _evaluate_batch(
+                    {
+                        "cell": 0,
+                        "plan": plan,
+                        "scheme": scheme,
+                        "variant": variant,
+                        "params": PARAMS,
+                        "capacity": capacity,
+                        "seeds": (seed,),
+                    }
+                )
+                legacy = faulty_scenario(
+                    geometry,
+                    PARAMS,
+                    plan,
+                    scheme=scheme,
+                    variant=variant,
+                    seed=seed,
+                ).run()
+                counts = [0, 0, 0, 0]
+                counts[int(legacy.achieved_level)] = 1
+                assert result["counts"] == tuple(counts), (plan.name, seed)
+                assert result["detected"] == int(
+                    legacy.detection_time is not None
+                ), (plan.name, seed)
 
 
 class TestReplicationLifecycle:
@@ -136,6 +174,35 @@ class TestSampleLevels:
             template.sample_levels(
                 rng, np.array([geometry.l1 + 1.0]), np.ones(1)
             )
+
+    @pytest.mark.parametrize("engine", ["batch", "vector"])
+    @pytest.mark.parametrize(
+        "onset, duration",
+        [
+            (float("nan"), 5.0),
+            (-0.5, 5.0),
+            (1.0, float("nan")),
+            (1.0, -1.0),
+        ],
+    )
+    def test_rejects_invalid_signal_inputs(self, engine, onset, duration):
+        """NaN or negative inputs raise on both engines instead of
+        yielding levels (NaN fails every range comparison)."""
+        geometry = PARAMS.constellation.plane_geometry(9)
+        template = ScenarioTemplate(geometry, PARAMS, scheme=Scheme.OAQ)
+        rng = np.random.default_rng(0)
+        # A valid leading row: the check runs before any row does.
+        onsets = np.array([1.0, onset])
+        durations = np.array([5.0, duration])
+        with pytest.raises(ConfigurationError):
+            template.sample_levels(rng, onsets, durations, engine=engine)
+
+    @pytest.mark.parametrize("duration", [float("nan"), -1.0])
+    def test_replicate_rejects_invalid_duration(self, duration):
+        geometry = PARAMS.constellation.plane_geometry(9)
+        template = ScenarioTemplate(geometry, PARAMS, scheme=Scheme.OAQ)
+        with pytest.raises(ConfigurationError):
+            template.replicate(0, onset_position=1.0, signal_duration=duration)
 
     def test_deterministic_under_fixed_seed(self):
         geometry = PARAMS.constellation.plane_geometry(9)
