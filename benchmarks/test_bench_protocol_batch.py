@@ -4,11 +4,13 @@ guard.
 The protocol-level QoS sampler must be at least **3x faster** through
 the batched :class:`~repro.simulation.batch.ScenarioTemplate` path --
 one template per (k, scheme) cell, replayed with a shared generator
-and early-stopped at the first ground alert -- than the seed's
-per-sample ``CenterlineScenario`` construction, aggregated over the
-four protocol branches (k=9/k=12 x OAQ/BAQ).  The batched distribution
-must stay statistically consistent with the legacy path: every legacy
-level frequency inside the batch estimate's 99.9% Wilson interval
+and early-stopped at the first ground alert -- than one
+``CenterlineScenario(..., seed=child).run()`` per sample (a one-shot
+template each, seeded from ``SeedSequence(SEED).spawn`` children),
+aggregated over the four protocol branches (k=9/k=12 x OAQ/BAQ).  The
+batched distribution must stay statistically consistent with the
+per-sample runs: every per-sample level frequency inside the batch
+estimate's 99.9% Wilson interval
 (the shared-generator path is not draw-order compatible with per-seed
 scenarios, so the pin is statistical, not bitwise -- see
 ``docs/SIMULATION.md``).
@@ -22,10 +24,13 @@ import json
 import time
 from pathlib import Path
 
+import numpy as np
+
 from repro.core.config import EvaluationParams
 from repro.core.qos import QoSLevel
 from repro.core.schemes import Scheme
 from repro.faults.stats import wilson_interval
+from repro.protocol.runner import CenterlineScenario
 from repro.simulation.batch import (
     batch_stage_timings,
     reset_batch_stage_timings,
@@ -57,9 +62,15 @@ def test_bench_protocol_batch_speedup_vs_per_sample_scenarios(run_once):
     for capacity, scheme in CELLS:
         geometry = params.constellation.plane_geometry(capacity)
         start = time.perf_counter()
-        legacy[(capacity, scheme)] = simulate_conditional_distribution_protocol(
-            geometry, params, scheme, samples=SAMPLES, seed=SEED, batched=False
-        )
+        counts = {level: 0 for level in QoSLevel}
+        for child in np.random.SeedSequence(SEED).spawn(SAMPLES):
+            outcome = CenterlineScenario(
+                geometry, params, scheme=scheme, seed=child
+            ).run()
+            counts[outcome.achieved_level] += 1
+        legacy[(capacity, scheme)] = {
+            level: count / SAMPLES for level, count in counts.items()
+        }
         legacy_seconds += time.perf_counter() - start
 
     reset_batch_stage_timings()

@@ -90,7 +90,9 @@ class Simulator:
         self, delay: float, callback: Callable, *args: Any, priority: int = 0
     ) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` from now."""
-        if delay < 0:
+        # Written as "not >=" so NaN is rejected too: a NaN key would
+        # corrupt the heap order.
+        if not delay >= 0:
             raise ConfigurationError(f"delay must be >= 0, got {delay}")
         # Push directly: a non-negative delay can never land in the
         # past, so the at() guard is redundant on this (hot) path.
@@ -104,7 +106,7 @@ class Simulator:
         self, time: float, callback: Callable, *args: Any, priority: int = 0
     ) -> Event:
         """Schedule ``callback(*args)`` at absolute ``time``."""
-        if time < self.now:
+        if not time >= self.now:
             raise ConfigurationError(
                 f"cannot schedule in the past (now={self.now}, requested {time})"
             )
@@ -144,7 +146,7 @@ class Simulator:
         last executed event's time).  The batched replication engine
         uses it to cut a run short once the outcome is decided.
         """
-        if time < self.now:
+        if not time >= self.now:
             raise ConfigurationError(
                 f"cannot run backwards (now={self.now}, requested {time})"
             )

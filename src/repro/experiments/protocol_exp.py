@@ -22,6 +22,8 @@ from repro.core.config import EvaluationParams
 from repro.core.opportunity import max_chain_length
 from repro.core.schemes import Scheme
 from repro.experiments.report import ExperimentResult
+from repro.faults.injector import resolve_seed
+from repro.faults.plan import FaultPlan
 from repro.protocol.satellite import MessagingVariant
 from repro.simulation.batch import ScenarioTemplate
 
@@ -43,7 +45,7 @@ def _batch(
     template = ScenarioTemplate(
         geometry, params, scheme=Scheme.OAQ, variant=variant, record_log=False
     )
-    single_coverage = geometry.single_coverage_length
+    next_fails = FaultPlan.successors_fail_silent(0.0, count=1)
     detected = 0
     timely = 0
     max_timely_chain = 0
@@ -52,14 +54,12 @@ def _batch(
         seed = int(rng.integers(0, 2**63 - 1))
         fail_silent = None
         if fail_successor:
-            # Fail the *detector's* successor: for a signal starting in
-            # the coverage gap the first (detecting) visitor is S2, so
-            # the successor under test is S3.  The probe draw replays
-            # the scenario's own onset draw for this seed.
-            probe = np.random.default_rng(seed)
-            onset = float(probe.uniform(0.0, geometry.l1))
-            covered = geometry.overlapping or onset < single_coverage
-            fail_silent = {("S2" if covered else "S3"): 0.0}
+            # Fail the *detector's* successor (S3 when the signal starts
+            # in the coverage gap and S2 detects); the resolution
+            # replays the replication's own signal draws for this seed.
+            fail_silent = resolve_seed(
+                geometry, params, next_fails, template.names, seed
+            ).failure_times
         outcome = template.replicate(seed, fail_silent=fail_silent).run()
         if outcome.detection_time is not None:
             detected += 1

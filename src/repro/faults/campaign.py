@@ -3,9 +3,14 @@
 A :class:`Campaign` crosses a battery of
 :class:`~repro.faults.plan.FaultPlan` entries with one or more schemes
 and runs each combination ``runs`` times through the full protocol
-simulation.  Work is batched and dispatched through the experiment
-engine's :class:`~repro.experiments.engine.SweepRunner`, so ``n_jobs``
-fans batches out over a process pool exactly like the sweep
+simulation: one :class:`~repro.simulation.batch.ScenarioTemplate` (the
+scalar protocol engine) per cell, replicated once per seed with the
+seed's faults resolved by :func:`~repro.faults.injector.resolve_seed`
+-- run for run what :func:`~repro.faults.injector.faulty_scenario`
+executes.  Fault-free cells can take the vector engine instead
+(``engine="vector"``).  Work is batched and dispatched through the
+experiment engine's :class:`~repro.experiments.engine.SweepRunner`, so
+``n_jobs`` fans batches out over a process pool exactly like the sweep
 experiments -- and, like them, the result is independent of ``n_jobs``
 and byte-identical across reruns with the same seed: every scenario's
 seed derives from ``numpy.random.SeedSequence(campaign_seed).spawn``
@@ -31,7 +36,7 @@ from repro.core.qos import QoSLevel
 from repro.core.schemes import Scheme
 from repro.errors import ConfigurationError
 from repro.experiments.engine import SweepRunner
-from repro.faults.injector import StalePeerView, build_link_loss_fn
+from repro.faults.injector import build_link_loss_fn, resolve_seed
 from repro.faults.plan import FaultPlan
 from repro.faults.stats import WilsonInterval, wilson_interval
 from repro.protocol.satellite import MessagingVariant
@@ -143,16 +148,13 @@ def _evaluate_batch(point: Mapping[str, object]) -> Dict[str, object]:
     batch against a shared :class:`ScenarioTemplate` and return the
     aggregated counts.
 
-    The template replays :func:`~repro.faults.injector.faulty_scenario`
-    bit for bit: the signal is drawn from a probe generator with the
-    run's seed, and the replication then re-seeds a fresh generator for
-    the protocol draws -- the same two-generator protocol the legacy
-    per-run construction used, so campaign results (including the
-    golden pins) are byte-identical, just without rebuilding the
-    scenario infrastructure per run.  The template schedules only the
-    events a run can consume; the skipped ones are no-ops in the legacy
-    scenario, so every outcome is unchanged
-    (``tests/test_simulation_batch.py`` pins this per fault plan).
+    Each seed is resolved by :func:`~repro.faults.injector.resolve_seed`
+    (signal from a probe generator with the run's seed, then the
+    detector, the failure schedule and the membership view) and the
+    replication re-seeds a fresh generator for the protocol draws --
+    run for run what :func:`~repro.faults.injector.faulty_scenario`
+    executes, without rebuilding the scenario infrastructure per run
+    (``tests/test_scenario_golden.py`` pins the counts per fault plan).
 
     ``engine="vector"`` routes *fault-free* cells through the
     struct-of-arrays engine of :mod:`repro.simulation.vector` instead:
@@ -174,8 +176,7 @@ def _evaluate_batch(point: Mapping[str, object]) -> Dict[str, object]:
     engine: str = point.get("engine", "batch")
     geometry = params.constellation.plane_geometry(capacity)
     template = _cell_template(geometry, plan, scheme, variant, params, capacity)
-    names = list(template.names)
-    single_coverage = geometry.single_coverage_length
+    names = template.names
 
     if engine == "vector" and plan.is_fault_free:
         from repro.simulation.qos_montecarlo import draw_signal_variates
@@ -199,24 +200,13 @@ def _evaluate_batch(point: Mapping[str, object]) -> Dict[str, object]:
     counts = [0, 0, 0, 0]
     detected = 0
     for seed in seeds:
-        # Signal draws come from a probe generator, exactly as
-        # faulty_scenario's probe CenterlineScenario would consume them.
-        probe = np.random.default_rng(seed)
-        onset = float(probe.uniform(0.0, geometry.l1))
-        duration = float(probe.exponential(1.0 / params.mu))
-        covered = geometry.overlapping or onset < single_coverage
-        failure_times = plan.failure_times(names, "S1" if covered else "S2")
-        next_peer = None
-        if plan.membership_staleness is not None:
-            next_peer = StalePeerView(
-                names, failure_times, plan.membership_staleness, template
-            )
+        faults = resolve_seed(geometry, params, plan, names, seed)
         outcome = template.replicate(
             seed,
-            onset_position=onset,
-            signal_duration=duration,
-            fail_silent=failure_times,
-            next_peer_override=next_peer,
+            onset_position=faults.onset_position,
+            signal_duration=faults.signal_duration,
+            fail_silent=faults.failure_times,
+            next_peer_override=faults.peer_view(template),
         ).run()
         counts[int(outcome.achieved_level)] += 1
         if outcome.detection_time is not None:

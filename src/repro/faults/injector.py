@@ -1,35 +1,50 @@
-"""Resolve a :class:`~repro.faults.plan.FaultPlan` against a concrete
-:class:`~repro.protocol.runner.CenterlineScenario`.
+"""Resolve a :class:`~repro.faults.plan.FaultPlan` against one seeded
+run of the scalar protocol engine.
 
-The plan is declarative; this module turns it into the runner's
+The plan is declarative; this module turns it into the engine's
 mechanisms:
 
 * ``fail_silent`` schedules (expanding the successor rule relative to
-  the scenario's initial detector, which is ``S1`` when the signal
-  starts covered and ``S2`` when it starts in the coverage gap);
+  the run's initial detector, which is ``S1`` when the signal starts
+  covered and ``S2`` when it starts in the coverage gap);
 * a time-aware ``link_loss_fn`` for per-link loss and downlink
   blackout windows;
 * a stale-membership ``next_peer_override`` that skips satellites the
   (lagging) failure view knows to be dead.
 
-``faulty_scenario`` is deterministic in ``seed``: the signal draws are
-taken from a probe scenario with the same seed, so a plan changes the
-injected faults but never the sampled signal -- paired comparisons
-across plans stay paired.
+:func:`resolve_seed` is the one per-seed resolution: the signal is
+drawn from a generator seeded with the run's seed exactly as a plain
+``CenterlineScenario(geometry, params, seed=seed)`` draws it, so a plan
+changes the injected faults but never the sampled signal -- paired
+comparisons across plans stay paired.  :func:`faulty_scenario` (one
+run), :mod:`repro.faults.campaign` (many runs on a shared template)
+and the protocol experiment's fail-silent successor all use it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from repro.core.config import EvaluationParams
 from repro.core.schemes import Scheme
 from repro.faults.plan import FaultPlan
 from repro.geometry.plane import PlaneGeometry
-from repro.protocol.runner import CenterlineScenario
+from repro.protocol.runner import (
+    CenterlineScenario,
+    normalise_onset_position,
+    resolve_satellite_count,
+)
 from repro.protocol.satellite import MessagingVariant
 
-__all__ = ["StalePeerView", "build_link_loss_fn", "faulty_scenario"]
+__all__ = [
+    "SeedFaults",
+    "StalePeerView",
+    "build_link_loss_fn",
+    "faulty_scenario",
+    "resolve_seed",
+]
 
 
 def build_link_loss_fn(
@@ -67,7 +82,7 @@ class StalePeerView:
     ):
         # ``scenario`` is anything exposing a ``simulator`` attribute:
         # a CenterlineScenario (None before the first run) or a
-        # batched-replication ScenarioTemplate.
+        # ScenarioTemplate.
         self._names = list(names)
         self._failure_times = dict(failure_times)
         self._staleness = staleness
@@ -92,6 +107,59 @@ class StalePeerView:
         return None
 
 
+class SeedFaults(NamedTuple):
+    """One seed's resolution of a plan: the signal and the faults to
+    inject into the run (see :func:`resolve_seed`)."""
+
+    onset_position: float
+    signal_duration: float
+    failure_times: Dict[str, float]
+    names: Sequence[str]
+    staleness: Optional[float]
+
+    def peer_view(self, scenario: object) -> Optional[StalePeerView]:
+        """The stale-membership next-peer override reading the clock of
+        ``scenario`` (None when the plan keeps the default rule)."""
+        if self.staleness is None:
+            return None
+        return StalePeerView(
+            self.names, self.failure_times, self.staleness, scenario
+        )
+
+
+def resolve_seed(
+    geometry: PlaneGeometry,
+    params: EvaluationParams,
+    plan: FaultPlan,
+    names: Sequence[str],
+    seed,
+    *,
+    onset_position: Optional[float] = None,
+    signal_duration: Optional[float] = None,
+) -> SeedFaults:
+    """Draw the signal for ``seed`` (onset, then duration; a given
+    value skips its draw), find the initial detector and expand the
+    plan's failure schedule over the visit order ``names``."""
+    probe = np.random.default_rng(seed)
+    if onset_position is None:
+        onset_position = float(probe.uniform(0.0, geometry.l1))
+    else:
+        onset_position = normalise_onset_position(geometry, onset_position)
+    if signal_duration is None:
+        signal_duration = float(probe.exponential(1.0 / params.mu))
+    covered = (
+        geometry.overlapping
+        or onset_position < geometry.single_coverage_length
+    )
+    return SeedFaults(
+        onset_position,
+        signal_duration,
+        plan.failure_times(names, "S1" if covered else "S2"),
+        names,
+        plan.membership_staleness,
+    )
+
+
 def faulty_scenario(
     geometry: PlaneGeometry,
     params: EvaluationParams,
@@ -106,40 +174,34 @@ def faulty_scenario(
 ) -> CenterlineScenario:
     """A :class:`CenterlineScenario` with ``plan`` injected.
 
-    The signal (onset position and duration) is drawn exactly as a
-    plain ``CenterlineScenario(geometry, params, seed=seed)`` would
-    draw it, so outcomes across plans with the same seed are paired
-    samples of the same physical signal.
+    The signal is drawn as a plain ``CenterlineScenario(geometry,
+    params, seed=seed)`` would draw it, and the protocol's draws start
+    from a fresh generator with the same seed -- the same per-seed
+    contract as the fault campaign's runs.
     """
-    probe = CenterlineScenario(
+    count = resolve_satellite_count(geometry, params, satellite_count)
+    names = [f"S{j + 1}" for j in range(count)]
+    faults = resolve_seed(
         geometry,
         params,
-        scheme=scheme,
-        variant=variant,
+        plan,
+        names,
+        seed,
         onset_position=onset_position,
         signal_duration=signal_duration,
-        satellite_count=satellite_count,
-        seed=seed,
     )
-    names: List[str] = [f"S{j + 1}" for j in range(probe.satellite_count)]
-    detector = "S1" if probe.covered_at_onset() else "S2"
-    failure_times = plan.failure_times(names, detector)
-
     scenario = CenterlineScenario(
         geometry,
         params,
         scheme=scheme,
         variant=variant,
-        onset_position=probe.onset_position,
-        signal_duration=probe.signal.duration,
-        fail_silent=failure_times,
+        onset_position=faults.onset_position,
+        signal_duration=faults.signal_duration,
+        fail_silent=faults.failure_times,
         crosslink_loss_probability=plan.crosslink_loss,
         link_loss_fn=build_link_loss_fn(plan),
-        satellite_count=probe.satellite_count,
+        satellite_count=count,
         seed=seed,
     )
-    if plan.membership_staleness is not None:
-        scenario.next_peer_override = StalePeerView(
-            names, failure_times, plan.membership_staleness, scenario
-        )
+    scenario.next_peer_override = faults.peer_view(scenario)
     return scenario

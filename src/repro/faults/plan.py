@@ -110,12 +110,16 @@ class FaultPlan:
         )
         if not self.name:
             raise ConfigurationError("a fault plan needs a non-empty name")
+        # Range checks are written as "not inside" so NaN fails them.
         for satellite, time in self.fail_silent:
-            if time < 0.0:
+            if not time >= 0.0:
                 raise ConfigurationError(
                     f"fail-silent time for {satellite!r} must be >= 0, got {time}"
                 )
-        if self.fail_successors_at is not None and self.fail_successors_at < 0.0:
+        if (
+            self.fail_successors_at is not None
+            and not self.fail_successors_at >= 0.0
+        ):
             raise ConfigurationError(
                 f"fail_successors_at must be >= 0, got {self.fail_successors_at}"
             )
@@ -124,7 +128,7 @@ class FaultPlan:
                 raise ConfigurationError(
                     "fail_successor_count requires fail_successors_at"
                 )
-            if self.fail_successor_count < 1:
+            if not self.fail_successor_count >= 1:
                 raise ConfigurationError(
                     f"fail_successor_count must be >= 1, got "
                     f"{self.fail_successor_count}"
@@ -140,12 +144,15 @@ class FaultPlan:
                     f"[0, 1], got {probability}"
                 )
         for start, end in self.downlink_blackouts:
-            if start < 0.0 or end <= start:
+            if not 0.0 <= start < end:
                 raise ConfigurationError(
                     f"blackout windows need 0 <= start < end, got "
                     f"[{start}, {end})"
                 )
-        if self.membership_staleness is not None and self.membership_staleness < 0.0:
+        if (
+            self.membership_staleness is not None
+            and not self.membership_staleness >= 0.0
+        ):
             raise ConfigurationError(
                 "membership_staleness must be >= 0, got "
                 f"{self.membership_staleness}"

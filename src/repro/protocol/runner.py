@@ -1,28 +1,22 @@
-"""Scenario runner: drives the OAQ protocol for a signal on the centre
-line of one plane's footprint trajectory (the paper's worst-case
-evaluation setting).
+"""Scenario runner: the OAQ protocol for one signal on the centre line
+of one plane's footprint trajectory (the paper's worst-case evaluation
+setting).
 
-Physical timeline (minutes; signal onset at ``t = 0``): the cycle
-convention of :class:`~repro.geometry.intervals.FootprintCycle` places
-the onset at cycle position ``x`` measured from the start of the
-singly-covered interval ``alpha``.  Satellite ``j`` (0-based visit
-order; protocol name ``S{j+1}``) covers the target during::
-
-    [ j*L1 - x - offset,  j*L1 - x - offset + Tc )
-
-with ``offset = L2`` for an overlapping plane (its coverage begins when
-it starts sharing the point with its predecessor) and ``offset = 0``
-for an underlapping one.  The runner schedules footprint arrivals,
-double-coverage onsets (overlap case) and fail-silence injections, then
-lets the satellites run the Section 3.2 protocol over the simulated
-crosslinks.
+:class:`CenterlineScenario` is the per-run API.  It draws the signal
+(onset cycle position, then duration) from its seed and runs it on the
+one scalar protocol engine,
+:class:`~repro.simulation.batch.ScenarioTemplate`, which schedules the
+footprint arrivals, double-coverage onsets and fail-silence injections
+and lets the satellites run the Section 3.2 protocol over the simulated
+crosslinks.  Monte-Carlo estimators replicate one template many times
+instead of building a scenario per sample.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, Optional
 
 import numpy as np
 
@@ -31,17 +25,21 @@ from repro.core.config import EvaluationParams
 from repro.core.qos import QoSLevel
 from repro.core.schemes import Scheme
 from repro.desim.kernel import Simulator
-from repro.desim.network import MessageRecord, Network
+from repro.desim.network import MessageRecord
 from repro.errors import ConfigurationError
 from repro.geometry.intervals import CoverageKind, FootprintCycle
 from repro.geometry.plane import PlaneGeometry
 from repro.protocol.accuracy_model import AccuracyModel
-from repro.protocol.ground import GroundStation
 from repro.protocol.messages import AlertMessage
-from repro.protocol.satellite import MessagingVariant, OAQSatellite
+from repro.protocol.satellite import MessagingVariant
 from repro.protocol.signal import Signal
 
-__all__ = ["ScenarioOutcome", "CenterlineScenario", "normalise_onset_position"]
+__all__ = [
+    "ScenarioOutcome",
+    "CenterlineScenario",
+    "normalise_onset_position",
+    "resolve_satellite_count",
+]
 
 
 def normalise_onset_position(geometry: PlaneGeometry, onset_position: float) -> float:
@@ -51,8 +49,8 @@ def normalise_onset_position(geometry: PlaneGeometry, onset_position: float) -> 
     The cycle is periodic, so a position equal to ``L1`` (reached
     exactly, or through floating-point tolerance) is the start of the
     next cycle and wraps to ``0.0``; anything beyond is rejected.
-    Shared by :class:`CenterlineScenario` and the batched replication
-    engine so both paths accept exactly the same inputs.
+    Shared by :class:`CenterlineScenario` and the replication engine so
+    both accept exactly the same inputs.
     """
     if not 0.0 <= onset_position <= geometry.l1 + 1e-12:
         raise ConfigurationError(
@@ -62,6 +60,25 @@ def normalise_onset_position(geometry: PlaneGeometry, onset_position: float) -> 
     if onset_position >= geometry.l1:
         return 0.0
     return onset_position
+
+
+def resolve_satellite_count(
+    geometry: PlaneGeometry,
+    params: EvaluationParams,
+    satellite_count: Optional[int] = None,
+) -> int:
+    """Chain capacity: ``satellite_count`` if given (at least one
+    satellite), else enough visits to span the deadline window plus
+    margin."""
+    if satellite_count is None:
+        return 3 + int(
+            math.ceil((params.tau + geometry.coverage_time) / geometry.l1)
+        )
+    if not satellite_count >= 1:
+        raise ConfigurationError(
+            f"satellite_count must be >= 1, got {satellite_count}"
+        )
+    return satellite_count
 
 
 @dataclass
@@ -108,8 +125,8 @@ class CenterlineScenario:
     scheme / variant:
         OAQ or BAQ; done-propagation or successor-responsibility.
     fail_silent:
-        Mapping satellite name -> failure time (minutes); the node goes
-        fail-silent then.
+        Mapping satellite name -> failure time (minutes, ``>= 0``); the
+        node goes fail-silent then.
     crosslink_loss_probability:
         i.i.d. chance that any message (crosslink or downlink) is lost
         in flight -- fault injection beyond the paper's fail-silent
@@ -128,8 +145,7 @@ class CenterlineScenario:
         :mod:`repro.protocol.membership`).  Receives a satellite name,
         returns the peer to invite (or None to stop the chain).
     satellite_count:
-        Chain capacity; by default enough satellites to cover the
-        deadline window.
+        Chain capacity (see :func:`resolve_satellite_count`).
     """
 
     def __init__(
@@ -172,22 +188,9 @@ class CenterlineScenario:
         if signal_duration is None:
             signal_duration = float(self.rng.exponential(1.0 / params.mu))
         self.signal = Signal("signal-0", 0.0, signal_duration)
-        if satellite_count is None:
-            # Enough visits to span the deadline plus margin.
-            satellite_count = 3 + int(
-                math.ceil((params.tau + geometry.coverage_time) / geometry.l1)
-            )
-        self.satellite_count = satellite_count
-
-    # ------------------------------------------------------------------
-    # Geometry helpers
-    # ------------------------------------------------------------------
-    def coverage_interval(self, visit_index: int) -> Tuple[float, float]:
-        """Absolute time interval during which satellite ``visit_index``
-        (0-based) covers the target."""
-        offset = self.geometry.l2 if self.geometry.overlapping else 0.0
-        start = visit_index * self.geometry.l1 - self.onset_position - offset
-        return start, start + self.geometry.coverage_time
+        self.satellite_count = resolve_satellite_count(
+            geometry, params, satellite_count
+        )
 
     def covered_at_onset(self) -> bool:
         """Whether the target is covered when the signal starts."""
@@ -196,140 +199,30 @@ class CenterlineScenario:
             is not CoverageKind.GAP
         )
 
-    def onset_in_double_coverage(self) -> bool:
-        """Whether the signal starts inside an overlapped region."""
-        return (
-            self.cycle.interval_at(self.onset_position).kind
-            is CoverageKind.DOUBLE
-        )
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
     def run(self, *, horizon: Optional[float] = None) -> ScenarioOutcome:
-        """Build the simulation, run it to quiescence, adjudicate."""
-        params = self.params
-        simulator = Simulator()
-        self.simulator = simulator
-        lossy = self.crosslink_loss_probability > 0.0 or self.link_loss_fn is not None
-        network = Network(
-            simulator,
-            default_delay=params.delta,
-            loss_probability=self.crosslink_loss_probability,
-            loss_fn=self.link_loss_fn,
-            rng=self.rng if lossy else None,
+        """Run the signal to quiescence on a one-shot template and
+        adjudicate; the protocol's draws continue this scenario's
+        generator."""
+        # Imported here: repro.simulation.batch imports this module.
+        from repro.simulation.batch import ScenarioTemplate
+
+        template = ScenarioTemplate(
+            self.geometry,
+            self.params,
+            scheme=self.scheme,
+            variant=self.variant,
+            accuracy_model=self.accuracy_model,
+            computation_time=self.computation_time,
+            satellite_count=self.satellite_count,
+            crosslink_loss_probability=self.crosslink_loss_probability,
+            link_loss_fn=self.link_loss_fn,
+            record_log=True,
         )
-        ground = GroundStation(network)
-
-        names = [f"S{j + 1}" for j in range(self.satellite_count)]
-
-        def default_next_peer(name: str) -> Optional[str]:
-            index = names.index(name)
-            return names[index + 1] if index + 1 < len(names) else None
-
-        next_peer = self.next_peer_override or default_next_peer
-
-        satellites: Dict[str, OAQSatellite] = {}
-        for name in names:
-            satellites[name] = OAQSatellite(
-                name,
-                simulator,
-                network,
-                params,
-                self.geometry,
-                scheme=self.scheme,
-                variant=self.variant,
-                accuracy_model=self.accuracy_model,
-                computation_time=self.computation_time,
-                next_peer=next_peer,
-                ground_name=ground.name,
-                rng=self.rng,
-            )
-
-        for name, fail_time in self.fail_silent.items():
-            if name not in satellites:
-                raise ConfigurationError(f"unknown fail-silent node {name!r}")
-            simulator.at(max(0.0, fail_time), network.fail, name)
-
-        detection_time = self._schedule_physical_events(simulator, satellites, names)
-
-        if horizon is None:
-            horizon = params.tau + self.geometry.coverage_time + self.geometry.l1 + 5.0
-        simulator.run_until(horizon)
-
-        official = ground.official(self.signal.signal_id)
-        level = QoSLevel(
-            ground.achieved_level(self.signal.signal_id, params.tau)
-        )
-        return ScenarioOutcome(
-            signal=self.signal,
-            achieved_level=level,
-            official_alert=official,
-            all_alerts=ground.alerts(self.signal.signal_id),
-            duplicates=ground.duplicates(self.signal.signal_id),
-            message_log=list(network.log),
-            detection_time=detection_time,
-        )
-
-    def _schedule_physical_events(
-        self,
-        simulator: Simulator,
-        satellites: Dict[str, OAQSatellite],
-        names: Sequence[str],
-    ) -> Optional[float]:
-        """Schedule footprint arrivals and double-coverage onsets.
-
-        Returns the initial-detection time (None if the signal escapes
-        surveillance entirely -- possible only in the underlap case).
-        """
-        detection_time: Optional[float] = None
-        detector: Optional[str] = None
-        for j, name in enumerate(names):
-            start, end = self.coverage_interval(j)
-            if end <= 0.0:
-                continue  # this visit ended before the signal started
-            arrival = max(0.0, start)
-            simultaneous = False
-            is_detector = False
-            if detector is None and self.signal.active(arrival):
-                detection_time = arrival
-                detector = name
-                is_detector = True
-                simultaneous = (
-                    self.geometry.overlapping
-                    and self.onset_in_double_coverage()
-                    and arrival == 0.0
-                )
-            # Later visitors only act if a coordination request invited
-            # them; otherwise the arrival is a no-op.
-            simulator.at(
-                arrival,
-                self._arrival_with_flag,
-                satellites[name],
-                simultaneous,
-                is_detector,
-            )
-
-        if self.geometry.overlapping and detector is not None:
-            # Double-coverage onsets: start of each beta interval after
-            # the signal onset, delivered to the (possibly withholding)
-            # detector.
-            beta_offset = self.geometry.single_coverage_length - self.onset_position
-            first = beta_offset if beta_offset > 0 else beta_offset + self.geometry.l1
-            t = first
-            horizon = self.params.tau + self.geometry.l1
-            while t <= horizon:
-                simulator.at(
-                    t, satellites[detector].on_simultaneous_coverage, self.signal
-                )
-                t += self.geometry.l1
-        return detection_time
-
-    def _arrival_with_flag(
-        self, satellite: OAQSatellite, simultaneous: bool, allow_detection: bool
-    ) -> None:
-        satellite.on_footprint_arrival(
-            self.signal,
-            simultaneous=simultaneous,
-            allow_detection=allow_detection,
-        )
+        self.simulator = template.simulator
+        return template.replicate(
+            self.rng,
+            onset_position=self.onset_position,
+            signal_duration=self.signal.duration,
+            fail_silent=self.fail_silent,
+            next_peer_override=self.next_peer_override,
+        ).run(horizon=horizon)

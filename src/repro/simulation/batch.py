@@ -1,32 +1,41 @@
-"""Batched Monte-Carlo replication of protocol scenarios.
+"""The scalar protocol engine: one scenario structure, replicated.
 
-The protocol-level estimators (the ``P(Y = y | k)`` cross-validation of
-:mod:`repro.simulation.qos_montecarlo` and the fault campaigns of
-:mod:`repro.faults`) draw thousands of independent scenario samples
-that share *everything* except the signal and the random draws: the
-plane geometry, the footprint cycle, the satellite roster and its
-next-peer wiring, the crosslink network, the ground station.  Building
-a fresh :class:`~repro.protocol.runner.CenterlineScenario` per sample
-re-creates all of that immutable structure every time, and that
-construction -- not the discrete-event run itself -- is the dominant
-per-sample cost.
-
-:class:`ScenarioTemplate` constructs the immutable parts once and
+Every protocol-level run -- a single
+:class:`~repro.protocol.runner.CenterlineScenario` (a one-shot facade
+over this module), the ``P(Y = y | k)`` cross-validation of
+:mod:`repro.simulation.qos_montecarlo`, the fault campaigns of
+:mod:`repro.faults` and the vector engine's divergent rows -- executes
+here.  The samples of one cell share *everything* except the signal
+and the random draws: the plane geometry, the footprint cycle, the
+satellite roster and its next-peer wiring, the crosslink network, the
+ground station.  :class:`ScenarioTemplate` constructs those once and
 exposes a cheap :meth:`~ScenarioTemplate.replicate` that resets only
 the mutable state (the kernel's clock and queue, the network log and
 fail-silent set, the satellites' per-signal protocol state, the random
-generator) before scheduling the next sample's physical events.  A
-replication preserves the legacy scenario's draw order, so the same
-seed produces the *same outcome* as ``CenterlineScenario`` -- the
-template is a faster execution engine, not a different model.
+generator) before scheduling the next sample's physical events.  The
+outcome of ``replicate(seed)`` does not depend on how often the
+template was replicated before.
+
+Physical timeline (minutes; signal onset at ``t = 0``): the cycle
+convention of :class:`~repro.geometry.intervals.FootprintCycle` places
+the onset at cycle position ``x`` measured from the start of the
+singly-covered interval ``alpha``.  Satellite ``j`` (0-based visit
+order; protocol name ``S{j+1}``) covers the target during::
+
+    [ j*L1 - x - offset,  j*L1 - x - offset + Tc )
+
+with ``offset = L2`` for an overlapping plane (its coverage begins when
+it starts sharing the point with its predecessor) and ``offset = 0``
+for an underlapping one.
 
 Events are scheduled lazily: footprint arrivals are scheduled only for
 the detector and for satellites actually invited into the coordination
 chain (via the satellite's ``on_invited`` hook), and double-coverage
 onsets are chained one at a time, stopping once the alert is out or the
-signal has died.  Un-invited arrivals and post-alert onsets are no-ops
-in the legacy scenario, so outcomes are unchanged; only the no-op event
-traffic disappears.
+signal has died.  An un-invited arrival or a post-alert onset cannot
+change any protocol state, so skipping them changes no outcome; the
+golden ``tests/golden/scenario_outcomes.json``, recorded from a
+scheduler that queued every event up front, pins this run by run.
 
 Per-stage wall-clock accumulators (``template`` / ``replicate`` /
 ``run``) mirror the capacity solver's stage timings and are reported as
@@ -36,7 +45,6 @@ See ``docs/SIMULATION.md`` for the user guide.
 
 from __future__ import annotations
 
-import math
 import time
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -50,11 +58,14 @@ from repro.core.schemes import Scheme
 from repro.desim.kernel import Simulator
 from repro.desim.network import LossFn, Network
 from repro.errors import ConfigurationError
-from repro.geometry.intervals import FootprintCycle
 from repro.geometry.plane import PlaneGeometry
 from repro.protocol.accuracy_model import AccuracyModel
 from repro.protocol.ground import GroundStation
-from repro.protocol.runner import ScenarioOutcome, normalise_onset_position
+from repro.protocol.runner import (
+    ScenarioOutcome,
+    normalise_onset_position,
+    resolve_satellite_count,
+)
 from repro.protocol.satellite import MessagingVariant, OAQSatellite
 from repro.protocol.signal import Signal
 
@@ -128,8 +139,8 @@ class Replication:
             )
 
     def run(self, *, horizon: Optional[float] = None) -> ScenarioOutcome:
-        """Run the simulation to quiescence and adjudicate (same
-        contract as :meth:`CenterlineScenario.run`)."""
+        """Run the simulation to quiescence (``horizon`` defaults to
+        ``tau + Tc + L1 + 5`` minutes) and adjudicate."""
         self._check_current()
         template = self._template
         start = time.perf_counter()
@@ -182,10 +193,11 @@ class ScenarioTemplate:
     """Immutable scenario structure, built once, replicated cheaply.
 
     Parameters mirror :class:`~repro.protocol.runner.CenterlineScenario`
-    for everything structural (geometry, params, scheme, variant,
-    models, satellite count, loss configuration); the per-sample inputs
-    (seed, onset position, signal duration, fail-silent schedule,
-    next-peer override) move to :meth:`replicate`.
+    (its per-run facade) for everything structural (geometry, params,
+    scheme, variant, models, satellite count, loss configuration); the
+    per-sample inputs (seed, onset position, signal duration,
+    fail-silent schedule, next-peer override) move to
+    :meth:`replicate`.
 
     Parameters
     ----------
@@ -216,13 +228,9 @@ class ScenarioTemplate:
             self.params = params
             self.scheme = scheme
             self.variant = variant
-            self.cycle = FootprintCycle(geometry)
-            if satellite_count is None:
-                satellite_count = 3 + int(
-                    math.ceil(
-                        (params.tau + geometry.coverage_time) / geometry.l1
-                    )
-                )
+            satellite_count = resolve_satellite_count(
+                geometry, params, satellite_count
+            )
             self.satellite_count = satellite_count
             self.names: List[str] = [
                 f"S{j + 1}" for j in range(satellite_count)
@@ -242,13 +250,18 @@ class ScenarioTemplate:
                 self._default_next_peer
             )
 
+            # Every replication installs its own generator; until then
+            # the network and satellites share one seeded placeholder
+            # (an unseeded generator would cost an OS-entropy read per
+            # satellite).
+            placeholder = np.random.default_rng(0)
             self.simulator = Simulator()
             self.network = Network(
                 self.simulator,
                 default_delay=params.delta,
                 loss_probability=crosslink_loss_probability,
                 loss_fn=link_loss_fn,
-                rng=np.random.default_rng(0) if self._lossy else None,
+                rng=placeholder if self._lossy else None,
             )
             self.network.record_log = record_log
             self.ground = GroundStation(self.network)
@@ -266,6 +279,7 @@ class ScenarioTemplate:
                     computation_time=computation_time,
                     next_peer=self._dispatch_next_peer,
                     ground_name=self.ground.name,
+                    rng=placeholder,
                 )
                 satellite.on_invited = self._on_invited
                 self.satellites[name] = satellite
@@ -314,12 +328,13 @@ class ScenarioTemplate:
 
         ``seed`` is anything :func:`numpy.random.default_rng` accepts
         (an int, a :class:`~numpy.random.SeedSequence`, or an existing
-        generator, which is used as-is).  The signal draws follow the
-        legacy scenario's order exactly -- onset first, duration second
-        -- and the same generator then drives the protocol's draws, so
-        ``replicate(seed)`` reproduces
+        generator, which is used as-is).  The signal is drawn onset
+        first, duration second (a given ``onset_position`` or
+        ``signal_duration`` skips its draw), and the same generator
+        then drives the protocol's draws -- the order
         ``CenterlineScenario(geometry, params, ..., seed=seed).run()``
-        outcome for outcome.
+        follows.  ``fail_silent`` maps satellite names to failure times
+        (minutes, ``>= 0``).
         """
         start = time.perf_counter()
         self._generation += 1
@@ -350,7 +365,12 @@ class ScenarioTemplate:
                 raise ConfigurationError(
                     f"unknown fail-silent node {name!r}"
                 )
-            simulator.at(max(0.0, fail_time), self.network.fail, name)
+            if not fail_time >= 0.0:
+                raise ConfigurationError(
+                    f"fail-silent time for {name!r} must be >= 0, got "
+                    f"{fail_time}"
+                )
+            simulator.at(fail_time, self.network.fail, name)
 
         detection_time = self._schedule_physical_events(onset_position)
         replication = Replication(
@@ -471,7 +491,7 @@ class ScenarioTemplate:
         return levels, detected
 
     # ------------------------------------------------------------------
-    # Physical-event scheduling (mirrors CenterlineScenario)
+    # Physical-event scheduling
     # ------------------------------------------------------------------
     def _schedule_physical_events(
         self, onset_position: float
@@ -541,8 +561,7 @@ class ScenarioTemplate:
     def _on_invited(self, name: str) -> None:
         """Invitation hook: a coordination request reached ``name``, so
         its footprint arrival now matters -- schedule it (unless the
-        pass already went by, which the legacy scenario treats as a
-        silent miss)."""
+        pass already went by: the invitation is then a silent miss)."""
         arrival = self._arrival_times.get(name)
         if arrival is None or arrival < self.simulator.now:
             return

@@ -60,6 +60,25 @@ class TestScheduling:
         with pytest.raises(ConfigurationError):
             simulator.at(1.0, lambda: None)
 
+    def test_rejects_nan_times(self):
+        """A NaN key would corrupt the heap order (a later 0.5 event
+        ran after 1.0) and leave the clock at NaN, so every entry point
+        refuses it and the queue is left untouched."""
+        nan = float("nan")
+        simulator = Simulator()
+        fired = []
+        simulator.at(1.0, fired.append, "a")
+        with pytest.raises(ConfigurationError):
+            simulator.at(nan, fired.append, "nan")
+        with pytest.raises(ConfigurationError):
+            simulator.schedule(nan, fired.append, "nan-delay")
+        simulator.at(0.5, fired.append, "b")
+        with pytest.raises(ConfigurationError):
+            simulator.run_until(nan)
+        simulator.run()
+        assert fired == ["b", "a"]
+        assert simulator.now == 1.0
+
 
 class TestCancellation:
     def test_cancelled_event_does_not_fire(self):

@@ -29,6 +29,8 @@ from repro.faults import (
     validate_outcome,
     wilson_interval,
 )
+from repro.protocol.runner import CenterlineScenario
+from repro.simulation.batch import ScenarioTemplate
 
 PARAMS = EvaluationParams(signal_termination_rate=0.2)
 GEOMETRY = PARAMS.constellation.plane_geometry(9)  # underlapping plane
@@ -157,6 +159,63 @@ class TestFaultPlan:
                 capacity=9,
                 plans=(FaultPlan.fault_free(), FaultPlan.fault_free()),
             )
+
+
+NAN = float("nan")
+
+
+def _replicate_fail_silent(time):
+    template = ScenarioTemplate(GEOMETRY, PARAMS)
+    return template.replicate(0, fail_silent={"S2": time})
+
+
+class TestBadFaultInputs:
+    """NaN fault inputs and empty rosters raise instead of silently
+    changing results (NaN slips through a plain ``x < 0`` check; a NaN
+    fail-silent time used to become a failure at t = 0)."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: FaultPlan(name="bad", fail_silent={"S2": NAN}),
+            lambda: FaultPlan(name="bad", fail_successors_at=NAN),
+            lambda: FaultPlan(
+                name="bad", fail_successors_at=0.0, fail_successor_count=NAN
+            ),
+            lambda: FaultPlan(name="bad", membership_staleness=NAN),
+            lambda: FaultPlan(name="bad", downlink_blackouts=((NAN, 100.0),)),
+            lambda: FaultPlan(name="bad", downlink_blackouts=((0.0, NAN),)),
+            lambda: _replicate_fail_silent(NAN),
+            lambda: _replicate_fail_silent(-1.0),
+            lambda: CenterlineScenario(
+                GEOMETRY, PARAMS, fail_silent={"S2": NAN}, seed=0
+            ).run(),
+            lambda: ScenarioTemplate(GEOMETRY, PARAMS, satellite_count=0),
+            lambda: ScenarioTemplate(GEOMETRY, PARAMS, satellite_count=-3),
+            lambda: CenterlineScenario(GEOMETRY, PARAMS, satellite_count=0),
+            lambda: faulty_scenario(
+                GEOMETRY, PARAMS, FaultPlan(), seed=0, satellite_count=0
+            ),
+        ],
+        ids=[
+            "plan-fail-silent-nan",
+            "plan-fail-successors-at-nan",
+            "plan-fail-successor-count-nan",
+            "plan-membership-staleness-nan",
+            "plan-blackout-start-nan",
+            "plan-blackout-end-nan",
+            "replicate-fail-silent-nan",
+            "replicate-fail-silent-negative",
+            "scenario-fail-silent-nan",
+            "template-satellite-count-zero",
+            "template-satellite-count-negative",
+            "scenario-satellite-count-zero",
+            "faulty-scenario-satellite-count-zero",
+        ],
+    )
+    def test_rejected(self, build):
+        with pytest.raises(ConfigurationError):
+            build()
 
 
 # ----------------------------------------------------------------------

@@ -1,14 +1,14 @@
-"""Tests for :mod:`repro.simulation.batch` -- the batched Monte-Carlo
-replication engine.
+"""Tests for :mod:`repro.simulation.batch` -- the scalar protocol
+engine.
 
-The load-bearing contract: for any seed, ``ScenarioTemplate(...)
-.replicate(seed).run()`` is **bit-identical** to building a fresh
-``CenterlineScenario(..., seed=seed)`` and running it, across all four
-protocol branches (overlap/underlap x OAQ/BAQ) and every fault plan of
-the fault experiment's battery, even though the template schedules only
-the events a run can consume.  Everything downstream (the faults
-campaign golden, the protocol experiment, the batched QoS sampler's
-statistical pins) rests on that equivalence.
+The load-bearing contract: a template's outcome for a seed does not
+depend on how often the template was replicated before.  A reused
+template must reproduce ``tests/golden/scenario_outcomes.json`` --
+recorded from a scheduler that built a fresh simulator, network and
+roster per run and queued every event up front -- run for run, even
+though the template schedules only the events a run can consume.
+Everything downstream (the faults campaign golden, the protocol
+experiment, the batched QoS sampler's statistical pins) rests on that.
 """
 
 import numpy as np
@@ -28,70 +28,58 @@ from repro.simulation.batch import (
     batch_stage_timings,
     reset_batch_stage_timings,
 )
+from tests.test_scenario_golden import (
+    PARAMS as GOLDEN_PARAMS,
+    SEEDS,
+    cell_key,
+    cell_summary,
+    load_golden,
+)
 
 PARAMS = EvaluationParams(signal_termination_rate=0.2)
 #: k=9 underlaps (coverage gap; coordination chains form), k=12
 #: overlaps (simultaneous double coverage) -- the two physical regimes.
 CAPACITIES = (9, 12)
-SEEDS = range(120)
 
 
-def _outcome_key(outcome):
-    official = outcome.official_alert
-    return (
-        int(outcome.achieved_level),
-        outcome.detection_time,
-        outcome.duplicates,
-        len(outcome.all_alerts),
-        None if official is None else (official.sent_at, official.sent_by),
-        outcome.signal.duration,
+def _reused_template_summary(capacity, scheme, **replicate_kwargs):
+    """Golden-cell summary of one template replicated over the golden
+    seeds (one shared template, unlike the per-run facade)."""
+    geometry = GOLDEN_PARAMS.constellation.plane_geometry(capacity)
+    template = ScenarioTemplate(
+        geometry, GOLDEN_PARAMS, scheme=scheme, record_log=True
     )
+    return cell_summary(
+        template.replicate(seed, **replicate_kwargs).run()
+        for seed in SEEDS
+    )
+
+
+def _golden_cell(capacity, scheme, case):
+    key = cell_key(capacity, scheme, MessagingVariant.DONE_PROPAGATION, case)
+    return load_golden()["cells"][key]
 
 
 class TestTemplateBitIdentity:
     @pytest.mark.parametrize("capacity", CAPACITIES)
     @pytest.mark.parametrize("scheme", [Scheme.OAQ, Scheme.BAQ])
     def test_replicate_matches_fresh_scenario(self, capacity, scheme):
-        geometry = PARAMS.constellation.plane_geometry(capacity)
-        template = ScenarioTemplate(geometry, PARAMS, scheme=scheme)
-        for seed in SEEDS:
-            legacy = CenterlineScenario(
-                geometry, PARAMS, scheme=scheme, seed=seed
-            ).run()
-            replayed = template.replicate(seed).run()
-            assert _outcome_key(replayed) == _outcome_key(legacy), (
-                f"k={capacity} {scheme.name} seed={seed}"
-            )
+        """A reused template reproduces the per-run golden."""
+        assert _reused_template_summary(capacity, scheme) == _golden_cell(
+            capacity, scheme, "plain"
+        )
 
     def test_explicit_signal_overrides_draws(self):
-        geometry = PARAMS.constellation.plane_geometry(9)
-        template = ScenarioTemplate(geometry, PARAMS, scheme=Scheme.OAQ)
-        outcome = template.replicate(
-            3, onset_position=1.0, signal_duration=4.0
-        ).run()
-        legacy = CenterlineScenario(
-            geometry,
-            PARAMS,
-            scheme=Scheme.OAQ,
-            onset_position=1.0,
-            signal_duration=4.0,
-            seed=3,
-        ).run()
-        assert _outcome_key(outcome) == _outcome_key(legacy)
+        summary = _reused_template_summary(
+            9, Scheme.OAQ, onset_position=1.0, signal_duration=4.0
+        )
+        assert summary == _golden_cell(9, Scheme.OAQ, "explicit-signal")
 
     def test_fail_silent_matches_fresh_scenario(self):
-        geometry = PARAMS.constellation.plane_geometry(9)
-        template = ScenarioTemplate(geometry, PARAMS, scheme=Scheme.OAQ)
-        for seed in range(40):
-            legacy = CenterlineScenario(
-                geometry,
-                PARAMS,
-                scheme=Scheme.OAQ,
-                fail_silent={"S2": 0.0},
-                seed=seed,
-            ).run()
-            replayed = template.replicate(seed, fail_silent={"S2": 0.0}).run()
-            assert _outcome_key(replayed) == _outcome_key(legacy)
+        summary = _reused_template_summary(
+            9, Scheme.OAQ, fail_silent={"S2": 0.0}
+        )
+        assert summary == _golden_cell(9, Scheme.OAQ, "fail-S2")
 
     @pytest.mark.parametrize("capacity", CAPACITIES)
     @pytest.mark.parametrize("scheme", [Scheme.OAQ, Scheme.BAQ])

@@ -335,33 +335,10 @@ class TestVarianceReduction:
 
 
 class TestProtocolSamplerSeeding:
-    """Seed hygiene: per-sample seeds must come from
-    ``SeedSequence.spawn`` children, not truncated ``rng.integers``
-    draws (which collide across cells and discard root entropy)."""
-
-    def test_legacy_path_is_pinned_to_spawned_children(self, params):
-        """Regression: ``batched=False`` consumes exactly the spawned
-        child sequence, bit for bit."""
-        from repro.protocol.runner import CenterlineScenario
-
-        geometry = params.constellation.plane_geometry(9)
-        samples, seed = 60, 2024
-        via_sampler = simulate_conditional_distribution_protocol(
-            geometry,
-            params,
-            Scheme.OAQ,
-            samples=samples,
-            seed=seed,
-            batched=False,
-        )
-        counts = {level: 0 for level in QoSLevel}
-        for child in np.random.SeedSequence(seed).spawn(samples):
-            outcome = CenterlineScenario(
-                geometry, params, scheme=Scheme.OAQ, seed=child
-            ).run()
-            counts[outcome.achieved_level] += 1
-        for level in QoSLevel:
-            assert via_sampler[level] == counts[level] / samples
+    """Seed hygiene: seeds enter through ``numpy.random.SeedSequence``
+    (the sampler's generator, the fault campaign's spawned per-cell
+    streams), never truncated ``rng.integers`` draws (which collide
+    across cells and discard root entropy)."""
 
     def test_spawned_children_are_distinct_streams(self):
         children = np.random.SeedSequence(0).spawn(512)
@@ -401,18 +378,6 @@ class TestProtocolSamplerSeeding:
         )
         for level in QoSLevel:
             assert reduced[level] == pytest.approx(plain[level], abs=0.06)
-
-    def test_legacy_path_rejects_variance_reduction(self, params):
-        geometry = params.constellation.plane_geometry(9)
-        with pytest.raises(ConfigurationError):
-            simulate_conditional_distribution_protocol(
-                geometry,
-                params,
-                Scheme.OAQ,
-                samples=10,
-                batched=False,
-                antithetic=True,
-            )
 
 
 class TestBoundaryVariates:

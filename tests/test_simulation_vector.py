@@ -155,16 +155,6 @@ class TestEngineDispatch:
             simulate_conditional_distribution_protocol(
                 geometry, PARAMS, Scheme.OAQ, samples=10, seed=1, engine="nope"
             )
-        with pytest.raises(ConfigurationError, match="batched path"):
-            simulate_conditional_distribution_protocol(
-                geometry,
-                PARAMS,
-                Scheme.OAQ,
-                samples=10,
-                seed=1,
-                batched=False,
-                engine="vector",
-            )
 
 
 class TestDivergenceFallback:
